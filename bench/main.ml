@@ -1,7 +1,8 @@
 (* bench/main.exe — regenerates every table and figure of the paper's
    evaluation (§5) from the simulator, then runs one Bechamel
    micro-benchmark per figure measuring the wall-clock cost of the
-   simulated experiment underlying it.
+   simulated experiment underlying it, and per-layer micro-benchmarks of
+   the private cache (ns and minor words per line).
 
    Usage:
      dune exec bench/main.exe              # everything, paper-scale shapes
@@ -79,6 +80,115 @@ let bechamel_tests () =
     t "micro/rename-latency" (hare_run ~ncores:1 ~nprocs:1 "renames");
   ]
 
+(* ---------- per-layer micro-benchmarks: the private cache --------------- *)
+
+module Engine = Hare_sim.Engine
+module Core_res = Hare_sim.Core_res
+module Dram = Hare_mem.Dram
+module Pcache = Hare_mem.Pcache
+module Layout = Hare_mem.Layout
+
+(* Each run moves one whole block (64 lines) through a [Pcache] and ends
+   with the one cycle charge every call makes, a fiber suspend/resume
+   that is amortised over those 64 lines:
+   - write-hit: a 4 KiB write into a resident block;
+   - read-miss: a 4 KiB read into a one-block cache, alternating two
+     blocks, so every line misses and evicts a clean line;
+   - invalidate: dropping a resident block (filled before the timed
+     run, outside it). *)
+let pcache_tests e =
+  let open Bechamel in
+  let core = Core_res.create e ~id:0 ~socket:0 ~ctx_switch:0 in
+  let nblocks = 128 in
+  let dram = Dram.create ~nblocks in
+  let buf = Bytes.make Layout.block_size 'x' in
+  for block = 0 to nblocks - 1 do
+    Dram.write_line dram ~block ~line:0 ~src:buf ~src_off:0
+  done;
+  let cache capacity_lines =
+    Pcache.create dram ~core ~costs:Hare_config.Costs.default ~capacity_lines
+  in
+  let bs = Layout.block_size in
+  let hot = cache 8192 in
+  Pcache.write hot ~block:0 ~off:0 ~len:bs ~src:buf ~src_off:0;
+  let small = cache Layout.lines_per_block and turn = ref 0 in
+  let inval = cache 8192 and pool = ref 0 in
+  [
+    Test.make ~name:"micro/pcache-write-hit"
+      (Staged.stage (fun () ->
+           Pcache.write hot ~block:0 ~off:0 ~len:bs ~src:buf ~src_off:0));
+    Test.make ~name:"micro/pcache-read-miss"
+      (Staged.stage (fun () ->
+           turn := 1 - !turn;
+           Pcache.read small ~block:(1 + !turn) ~off:0 ~len:bs ~dst:buf
+             ~dst_off:0));
+    (* Bechamel allocates one resource per run of a sample, at most
+       [limit] = 50 of them, so the 64 pool blocks are all resident. *)
+    Test.make_with_resource ~name:"micro/pcache-invalidate" Test.multiple
+      ~allocate:(fun () ->
+        let block = 64 + (!pool mod 64) in
+        incr pool;
+        Pcache.read inval ~block ~off:0 ~len:bs ~dst:buf ~dst_off:0;
+        block)
+      ~free:ignore
+      (Staged.stage (fun block -> Pcache.invalidate_block inval block));
+  ]
+
+(* Minor words allocated, exactly: [Gc.minor_words] counts the current
+   minor heap too, while the [Gc.quick_stat] field behind Bechamel's
+   [minor_allocated] only moves at minor collections. *)
+module Minor_words = struct
+  type witness = unit
+
+  let load () = ()
+  let unload () = ()
+  let make () = ()
+  let get () = Gc.minor_words ()
+  let label () = "minor-words"
+  let unit () = "words"
+end
+
+let run_pcache_micro () =
+  let open Bechamel in
+  print_endline "\n---- per-layer: Pcache, per 64-byte line ----\n";
+  let clock = Toolkit.Instance.monotonic_clock
+  and words =
+    Measure.instance (module Minor_words) (Measure.register (module Minor_words))
+  in
+  let cfg =
+    Benchmark.cfg ~limit:50 ~quota:(Time.second 0.25) ~kde:None
+      ~stabilize:false ()
+  in
+  let per_line instance tbl =
+    let ols =
+      Analyze.all
+        (Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |])
+        instance tbl
+    in
+    Hashtbl.fold
+      (fun _ v _ ->
+        match Analyze.OLS.estimates v with
+        | Some (e :: _) -> e /. float_of_int Layout.lines_per_block
+        | _ -> nan)
+      ols nan
+  in
+  let e = Engine.create () in
+  let rows = ref [] in
+  ignore
+    (Engine.spawn e ~name:"pcache-micro" (fun () ->
+         rows :=
+           List.map
+             (fun test ->
+               let tbl = Benchmark.all cfg [ clock; words ] test in
+               [
+                 Test.name test;
+                 Printf.sprintf "%.2f" (per_line clock tbl);
+                 Printf.sprintf "%.2f" (per_line words tbl);
+               ])
+             (pcache_tests e)));
+  Engine.run e;
+  Hare_stats.Table.print ~headers:[ "layer"; "ns/line"; "minor words/line" ] !rows
+
 let run_bechamel () =
   let open Bechamel in
   print_endline "\n================ Bechamel micro-benchmarks ================\n";
@@ -114,7 +224,8 @@ let run_bechamel () =
            in
            [ name; est ])
   in
-  Hare_stats.Table.print ~headers:[ "experiment"; "wall-clock" ] rows
+  Hare_stats.Table.print ~headers:[ "experiment"; "wall-clock" ] rows;
+  run_pcache_micro ()
 
 (* ---------- --json: machine-readable benchmark results ----------------- *)
 

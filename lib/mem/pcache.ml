@@ -2,19 +2,31 @@ open Hare_sim
 module Trace = Hare_trace.Trace
 module Check = Hare_check.Check
 
-(* A cached line. [prev]/[next] form an intrusive LRU list through a
-   per-cache sentinel — no [option] boxing on the hottest pointer
-   updates. [key] is mutable so an evicted line's record and 64-byte
-   buffer are recycled for the incoming line: at steady state (cache at
-   capacity, the common case for the writes workload) the per-line miss
-   path allocates nothing. *)
-type line = {
-  mutable key : int; (* block * lines_per_block + line index; -1 = none *)
-  data : Bytes.t; (* Layout.line_size bytes *)
-  mutable dirty : bool;
-  mutable prev : line;
-  mutable next : line;
-}
+(* Flat struct-of-arrays representation. A cached line is an int index
+   [i]; nothing per line is a heap object.
+
+   - Lines live in chunks of [chunk_lines] = 64, allocated on demand and
+     never more than [capacity] lines' worth: chunk [i lsr 6] holds the
+     line's 64 data bytes at offset [(i land 63) * 64] of a 4 KiB
+     [Bytes.t], and its metadata — key, LRU prev/next, dirty — as four
+     ints at [(i land 63) * 4] of a 256-int array. Growth never copies a
+     chunk, so a growing cache leaves no garbage behind.
+   - The LRU order is an intrusive doubly-linked list through the
+     prev/next fields, [head] = MRU, [tail] = victim, -1 = none.
+   - Lines dropped by [invalidate_block] go on a free list (linked
+     through their next field) and are reused before a fresh index, so
+     indices never leak and [nlines <= capacity] always holds.
+   - The table maps line keys to line indices with ints only. A line's
+     home slot is its block's hash plus its line number, so the lines of
+     a block sit in adjacent slots. Collisions probe with stride 65: a
+     displaced run of lines stays adjacent one stride on, and because 65
+     is odd every slot is eventually visited. Deletion shifts entries
+     back instead of leaving tombstones, so eviction churn never forces
+     a rehash; the table only doubles, at 3/4 full.
+
+   None of this is visible in simulated behaviour: victims, counters,
+   charged cycles and the checker/explorer/trace hook calls are those of
+   the record-per-line cache this replaced, in the same order. *)
 
 type stats = {
   hits : int;
@@ -24,10 +36,20 @@ type stats = {
   invalidated : int;
 }
 
-(* Filler for empty hash-table value slots; never linked or read. *)
-let rec dummy_line =
-  { key = -1; data = Bytes.empty; dirty = false; prev = dummy_line;
-    next = dummy_line }
+let chunk_lines = 64
+
+let chunk_bits = 6
+
+(* Metadata fields of a line, as offsets into its chunk's meta array. *)
+let f_key = 0
+
+let f_prev = 1
+
+let f_next = 2
+
+let f_dirty = 3
+
+let meta_ints = 4
 
 type t = {
   dram : Dram.t;
@@ -35,16 +57,18 @@ type t = {
   costs : Hare_config.Costs.t;
   block_socket : int -> int;
   capacity : int;
-  (* Open-addressed hash table, line keys -> lines. Parallel arrays with
-     linear probing replace the previous [Hashtbl]: lookups are
-     allocation-free (no [Some], no bucket cells) and the steady-state
-     write path — evict + insert per line — touches two flat arrays. *)
-  mutable tkeys : int array; (* -1 empty, -2 tombstone *)
-  mutable tvals : line array;
+  mutable datas : Bytes.t array; (* per chunk: 64 lines of data *)
+  mutable metas : int array array; (* per chunk: 64 x [key; prev; next; dirty] *)
+  mutable nlines : int; (* line indices handed out so far *)
+  mutable free : int; (* free-list head, -1 = empty *)
+  mutable head : int; (* MRU line, -1 = empty *)
+  mutable tail : int; (* LRU victim, -1 = empty *)
+  mutable fill_cycles : int; (* DRAM cycles of the last [ensure_line] *)
+  mutable tkeys : int array; (* line keys, -1 = empty *)
+  mutable tvals : int array; (* line index of the key in [tkeys] *)
   mutable tmask : int; (* Array.length tkeys - 1 (power of two) *)
+  mutable tshift : int; (* 63 - log2 (Array.length tkeys) *)
   mutable tcount : int;
-  mutable ttombs : int;
-  lru : line; (* sentinel: [lru.next] = MRU, [lru.prev] = victim *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -54,9 +78,7 @@ type t = {
 
 let empty_slot = -1
 
-let tomb_slot = -2
-
-let initial_slots = 64
+let initial_bits = 6 (* a 64-slot table *)
 
 let create ?block_socket dram ~core ~costs ~capacity_lines =
   if capacity_lines <= 0 then invalid_arg "Pcache.create: empty capacity";
@@ -65,21 +87,24 @@ let create ?block_socket dram ~core ~costs ~capacity_lines =
     | Some f -> f
     | None -> fun (_ : int) -> Core_res.socket core
   in
-  let rec lru =
-    { key = -1; data = Bytes.empty; dirty = false; prev = lru; next = lru }
-  in
   {
     dram;
     core;
     costs;
     block_socket;
     capacity = capacity_lines;
-    tkeys = Array.make initial_slots empty_slot;
-    tvals = Array.make initial_slots dummy_line;
-    tmask = initial_slots - 1;
+    datas = [||];
+    metas = [||];
+    nlines = 0;
+    free = -1;
+    head = -1;
+    tail = -1;
+    fill_cycles = 0;
+    tkeys = Array.make (1 lsl initial_bits) empty_slot;
+    tvals = Array.make (1 lsl initial_bits) 0;
+    tmask = (1 lsl initial_bits) - 1;
+    tshift = 63 - initial_bits;
     tcount = 0;
-    ttombs = 0;
-    lru;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -99,70 +124,152 @@ let cid t = Core_res.id t.core
    event touched DRAM line [key]. No-op unless an explorer is attached. *)
 let note_line t key = Engine.note_line (Core_res.engine t.core) key
 
-(* --- open-addressed table -------------------------------------------- *)
+let key_of ~block ~line = (block * Layout.lines_per_block) + line
 
-(* Multiplicative spread of the (sequential) line keys; [land] with a
-   positive mask keeps the slot non-negative even on overflow. *)
-let[@inline] slot_of t key = (key * 0x2545F491) land t.tmask
+let block_of_key key = key / Layout.lines_per_block
 
-(* Slot index of [key], or -1. *)
-let tab_find t key =
-  let keys = t.tkeys and mask = t.tmask in
-  let rec go i =
-    let k = Array.unsafe_get keys i in
-    if k = key then i
-    else if k = empty_slot then -1
-    else go ((i + 1) land mask)
-  in
-  go (slot_of t key)
+let line_of_key key = key mod Layout.lines_per_block
 
-let tab_place t key l =
-  let keys = t.tkeys and mask = t.tmask in
-  let rec go i =
-    let k = Array.unsafe_get keys i in
-    if k = empty_slot then begin
-      Array.unsafe_set keys i key;
-      Array.unsafe_set t.tvals i l;
-      t.tcount <- t.tcount + 1
-    end
-    else if k = tomb_slot then begin
-      Array.unsafe_set keys i key;
-      Array.unsafe_set t.tvals i l;
-      t.tcount <- t.tcount + 1;
-      t.ttombs <- t.ttombs - 1
-    end
-    else go ((i + 1) land mask)
-  in
-  go (slot_of t key)
+(* --- line arena ------------------------------------------------------- *)
 
-let tab_rehash t =
-  let old_keys = t.tkeys and old_vals = t.tvals in
-  let old_size = Array.length old_keys in
-  (* Grow only when live entries crowd the table; a rehash triggered by
-     tombstones alone reuses the same size (churn from evictions). *)
-  let size = if t.tcount * 2 >= old_size then old_size * 2 else old_size in
-  t.tkeys <- Array.make size empty_slot;
-  t.tvals <- Array.make size dummy_line;
-  t.tmask <- size - 1;
-  t.tcount <- 0;
-  t.ttombs <- 0;
-  for i = 0 to old_size - 1 do
-    let k = Array.unsafe_get old_keys i in
-    if k >= 0 then tab_place t k (Array.unsafe_get old_vals i)
-  done
+let[@inline] get t i f =
+  Array.unsafe_get
+    (Array.unsafe_get t.metas (i lsr chunk_bits))
+    (((i land (chunk_lines - 1)) * meta_ints) + f)
 
-(* Insert a key known to be absent. *)
-let tab_insert t key l =
-  if (t.tcount + t.ttombs) * 4 >= Array.length t.tkeys * 3 then tab_rehash t;
-  tab_place t key l
+let[@inline] set t i f v =
+  Array.unsafe_set
+    (Array.unsafe_get t.metas (i lsr chunk_bits))
+    (((i land (chunk_lines - 1)) * meta_ints) + f)
+    v
 
+let[@inline] data t i = Array.unsafe_get t.datas (i lsr chunk_bits)
+
+let[@inline] data_off i = (i land (chunk_lines - 1)) * Layout.line_size
+
+(* A line index for a new resident line: a freed one if any, else the
+   next fresh one, opening a chunk every 64 lines. Only called below
+   capacity, so at most [capacity] indices are ever handed out. *)
+let alloc_line t =
+  if t.free >= 0 then begin
+    let i = t.free in
+    t.free <- get t i f_next;
+    i
+  end
+  else begin
+    let i = t.nlines in
+    let c = i lsr chunk_bits in
+    if c = Array.length t.metas then begin
+      (* The chunk directory is one pointer per 64 lines; doubling it
+         costs next to nothing, unlike doubling the chunks themselves. *)
+      let max_chunks = ((t.capacity - 1) / chunk_lines) + 1 in
+      let n = min max_chunks (max 1 (2 * c)) in
+      t.metas <- Array.append t.metas (Array.make (n - c) [||]);
+      t.datas <- Array.append t.datas (Array.make (n - c) Bytes.empty)
+    end;
+    if i land (chunk_lines - 1) = 0 then begin
+      let lines = min chunk_lines (t.capacity - i) in
+      t.metas.(c) <- Array.make (lines * meta_ints) 0;
+      t.datas.(c) <- Bytes.create (lines * Layout.line_size)
+    end;
+    t.nlines <- i + 1;
+    i
+  end
+
+(* --- intrusive LRU list (-1 = none) ----------------------------------- *)
+
+let unlink t i =
+  let p = get t i f_prev and n = get t i f_next in
+  if p < 0 then t.head <- n else set t p f_next n;
+  if n < 0 then t.tail <- p else set t n f_prev p
+
+let push_front t i =
+  let h = t.head in
+  set t i f_prev (-1);
+  set t i f_next h;
+  if h < 0 then t.tail <- i else set t h f_prev i;
+  t.head <- i
+
+let[@inline] touch t i =
+  if t.head <> i then begin
+    unlink t i;
+    push_front t i
+  end
+
+(* --- open-addressed table, line key -> line index --------------------- *)
+
+let probe_stride = 65
+
+(* Fibonacci hash of the block (top bits of the wrapped product) plus the
+   line number: a block's lines get adjacent home slots. *)
+let[@inline] home t key =
+  ((((block_of_key key) * 0x4F1BBCDCBFA53E0B) lsr t.tshift) + line_of_key key)
+  land t.tmask
+
+(* Slot index of [key], or -1. The probe loops are top-level functions
+   with the table passed in: a local recursive closure would allocate on
+   every lookup. *)
+let rec find_from keys mask key i =
+  let k = Array.unsafe_get keys i in
+  if k = key then i
+  else if k = empty_slot then -1
+  else find_from keys mask key ((i + probe_stride) land mask)
+
+let tab_find t key = find_from t.tkeys t.tmask key (home t key)
+
+(* The first empty slot on [key]'s probe path. *)
+let rec free_from keys mask i =
+  if Array.unsafe_get keys i = empty_slot then i
+  else free_from keys mask ((i + probe_stride) land mask)
+
+let tab_place t key v =
+  let i = free_from t.tkeys t.tmask (home t key) in
+  Array.unsafe_set t.tkeys i key;
+  Array.unsafe_set t.tvals i v;
+  t.tcount <- t.tcount + 1
+
+(* Insert a key known to be absent, doubling the table first if that
+   would fill it past 3/4. *)
+let tab_insert t key v =
+  if (t.tcount + 1) * 4 > Array.length t.tkeys * 3 then begin
+    let old_keys = t.tkeys and old_vals = t.tvals in
+    let size = 2 * Array.length old_keys in
+    t.tkeys <- Array.make size empty_slot;
+    t.tvals <- Array.make size 0;
+    t.tmask <- size - 1;
+    t.tshift <- t.tshift - 1;
+    t.tcount <- 0;
+    Array.iteri (fun i k -> if k >= 0 then tab_place t k old_vals.(i)) old_keys
+  end;
+  tab_place t key v
+
+(* The inverse of [probe_stride] mod 2^63 (Newton's iteration), so that
+   [steps t a b] counts the probe steps from slot [a] to slot [b]. *)
+let stride_inv =
+  let rec go x n = if n = 0 then x else go (x * (2 - (probe_stride * x))) (n - 1) in
+  go probe_stride 6
+
+let[@inline] steps t a b = ((b - a) * stride_inv) land t.tmask
+
+(* Backward-shift deletion: walk the probe path after the hole and pull
+   back every entry whose own path passes through the hole. The table
+   never holds tombstones, so eviction churn needs no rehash. *)
 let tab_delete t key =
-  let i = tab_find t key in
-  if i >= 0 then begin
-    t.tkeys.(i) <- tomb_slot;
-    t.tvals.(i) <- dummy_line;
+  let keys = t.tkeys and vals = t.tvals and mask = t.tmask in
+  let hole = ref (find_from keys mask key (home t key)) in
+  if !hole >= 0 then begin
     t.tcount <- t.tcount - 1;
-    t.ttombs <- t.ttombs + 1
+    let j = ref ((!hole + probe_stride) land mask) in
+    while Array.unsafe_get keys !j <> empty_slot do
+      let k = Array.unsafe_get keys !j in
+      if steps t (home t k) !j >= steps t !hole !j then begin
+        Array.unsafe_set keys !hole k;
+        Array.unsafe_set vals !hole (Array.unsafe_get vals !j);
+        hole := !j
+      end;
+      j := (!j + probe_stride) land mask
+    done;
+    Array.unsafe_set keys !hole empty_slot
   end
 
 (* Decompose the upcoming compute charge into cache vs. DRAM cycles and
@@ -192,146 +299,167 @@ let stats t =
 
 let resident_lines t = t.tcount
 
-let key_of ~block ~line = (block * Layout.lines_per_block) + line
-
 (* DRAM transfer cost for one line of [block], NUMA-aware. *)
 let dram_cost t block =
   if t.block_socket block <> Core_res.socket t.core then
     t.costs.dram_line + t.costs.dram_cross_socket_line
   else t.costs.dram_line
 
-let block_of_key key = key / Layout.lines_per_block
-
-let line_of_key key = key mod Layout.lines_per_block
-
-(* --- intrusive LRU list (sentinel-linked) ----------------------------- *)
-
-let[@inline] unlink l =
-  l.prev.next <- l.next;
-  l.next.prev <- l.prev
-
-let[@inline] push_front t l =
-  let s = t.lru in
-  l.next <- s.next;
-  l.prev <- s;
-  s.next.prev <- l;
-  s.next <- l
-
-let[@inline] touch t l =
-  if t.lru.next != l then begin
-    unlink l;
-    push_front t l
-  end
-
-let flush_line t l =
-  if l.dirty then begin
-    note_line t l.key;
-    Dram.write_line t.dram ~block:(block_of_key l.key)
-      ~line:(line_of_key l.key) ~src:l.data ~src_off:0;
-    l.dirty <- false;
+let flush_line t i =
+  if get t i f_dirty <> 0 then begin
+    let key = get t i f_key in
+    note_line t key;
+    Dram.write_line t.dram ~block:(block_of_key key) ~line:(line_of_key key)
+      ~src:(data t i) ~src_off:(data_off i);
+    set t i f_dirty 0;
     t.writebacks <- t.writebacks + 1;
     (match checker t with
-    | Some chk -> Check.cache_writeback chk ~core:(cid t) ~key:l.key
+    | Some chk -> Check.cache_writeback chk ~core:(cid t) ~key
     | None -> ());
     true
   end
   else false
 
-let drop_line t l =
-  unlink l;
-  tab_delete t l.key
-
-(* Fetch-or-miss one line; returns (line, cache cycles, DRAM cycles). *)
+(* Fetch-or-miss one line; returns its index and leaves the DRAM cycles
+   it cost (0 on a hit) in [t.fill_cycles]. Allocates only when a miss
+   below capacity opens a new chunk. *)
 let ensure_line t ~block ~line =
   let key = key_of ~block ~line in
-  let i = tab_find t key in
-  if i >= 0 then begin
-    let l = Array.unsafe_get t.tvals i in
-    touch t l;
+  let s = tab_find t key in
+  if s >= 0 then begin
+    let i = Array.unsafe_get t.tvals s in
+    touch t i;
     t.hits <- t.hits + 1;
-    (l, t.costs.cache_hit_line, 0)
+    t.fill_cycles <- 0;
+    i
   end
   else begin
     t.misses <- t.misses + 1;
     if t.tcount >= t.capacity then begin
-      (* At capacity: evict the LRU victim and recycle its record and
-         buffer for the incoming line — the steady-state miss allocates
-         nothing. Hook order matches the historic evict-then-fill path:
-         write-back, drop, eviction count, evict hook. *)
-      let victim = t.lru.prev in
+      (* At capacity: evict the LRU victim and reuse its index for the
+         incoming line. Hook order: write-back, drop, eviction count,
+         evict hook, then the fill. *)
+      let i = t.tail in
+      let vkey = get t i f_key in
       let evict_cost =
-        if flush_line t victim then dram_cost t (block_of_key victim.key)
-        else 0
+        if flush_line t i then dram_cost t (block_of_key vkey) else 0
       in
-      tab_delete t victim.key;
+      tab_delete t vkey;
       t.evictions <- t.evictions + 1;
       (match checker t with
-      | Some chk -> Check.cache_evict chk ~core:(cid t) ~key:victim.key
+      | Some chk -> Check.cache_evict chk ~core:(cid t) ~key:vkey
       | None -> ());
-      victim.key <- key;
-      victim.dirty <- false;
-      Dram.read_line t.dram ~block ~line ~dst:victim.data ~dst_off:0;
-      tab_insert t key victim;
-      touch t victim;
-      (victim, t.costs.cache_hit_line, evict_cost + dram_cost t block)
+      set t i f_key key;
+      set t i f_dirty 0;
+      Dram.read_line t.dram ~block ~line ~dst:(data t i) ~dst_off:(data_off i);
+      tab_insert t key i;
+      touch t i;
+      t.fill_cycles <- evict_cost + dram_cost t block;
+      i
     end
     else begin
-      let data = Bytes.create Layout.line_size in
-      Dram.read_line t.dram ~block ~line ~dst:data ~dst_off:0;
-      let l =
-        { key; data; dirty = false; prev = dummy_line; next = dummy_line }
-      in
-      tab_insert t key l;
-      push_front t l;
-      (l, t.costs.cache_hit_line, dram_cost t block)
+      let i = alloc_line t in
+      Dram.read_line t.dram ~block ~line ~dst:(data t i) ~dst_off:(data_off i);
+      set t i f_key key;
+      set t i f_dirty 0;
+      tab_insert t key i;
+      push_front t i;
+      t.fill_cycles <- dram_cost t block;
+      i
     end
   end
 
-let check_range ~off ~len =
+let check_block block = if block < 0 then invalid_arg "Pcache: negative block"
+
+let check_range ~block ~off ~len =
+  check_block block;
   if len <= 0 then invalid_arg "Pcache: empty range";
   if off < 0 || off + len > Layout.block_size then
     invalid_arg "Pcache: range escapes block"
 
-let access t ~block ~off ~len ~write ~(per_line : line -> unit) =
-  check_range ~off ~len;
+(* The part of byte range [off, off + len) of a block that falls in line
+   [line]: its start within the line and its length. Int comparisons
+   spelled out: [Stdlib.min]/[max] are polymorphic C calls. *)
+let[@inline] line_from ~off line =
+  let d = off - (line * Layout.line_size) in
+  if d > 0 then d else 0
+
+let[@inline] line_len ~off ~len line =
+  let line_start = line * Layout.line_size in
+  let line_end = line_start + Layout.line_size and upto = off + len in
+  (if upto < line_end then upto else line_end)
+  - if off > line_start then off else line_start
+
+(* One loop serves all four accessors. It looks the explorer and checker
+   up once per call: no hook can attach or detach one while a call runs,
+   and the hook calls themselves keep their per-line order.
+
+   The coherent accessors model an MESI machine by keeping DRAM
+   authoritative: every write goes through to DRAM, every read refetches
+   the line. A resident (hit) line moves at near-cache speed, a small
+   write-through/snoop overhead of [dram_line / 8]; only misses pay the
+   full DRAM transfer. *)
+let access t ~block ~off ~len ~buf ~buf_off ~write ~coherent =
+  check_range ~block ~off ~len;
   let miss0 = t.misses and wb0 = t.writebacks in
-  let first, last = Layout.lines_touched ~off ~len in
+  let eng = Core_res.engine t.core in
+  let exploring = Engine.exploring eng and chk = Engine.checker eng in
   let cache = ref 0 and dram = ref 0 in
-  for line = first to last do
+  for line = off / Layout.line_size to (off + len - 1) / Layout.line_size do
     let m0 = t.misses in
-    let l, cc, dc = ensure_line t ~block ~line in
-    note_line t l.key;
-    (match checker t with
+    let i = ensure_line t ~block ~line in
+    let key = key_of ~block ~line in
+    if exploring then Engine.note_line eng key;
+    (match chk with
     | Some chk ->
-        Check.cache_access chk ~core:(cid t) ~key:l.key ~write
-          ~filled:(t.misses > m0)
+        let filled = t.misses > m0 in
+        if coherent then
+          Check.coherent_access chk ~core:(cid t) ~key ~write ~filled
+        else Check.cache_access chk ~core:(cid t) ~key ~write ~filled
     | None -> ());
-    cache := !cache + cc;
-    dram := !dram + dc;
-    per_line l
+    let d = data t i and doff = data_off i in
+    let from = line_from ~off line and n = line_len ~off ~len line in
+    let pos = buf_off + (line * Layout.line_size) + from - off in
+    if write then begin
+      Bytes.blit buf pos d (doff + from) n;
+      if coherent then begin
+        (* Write-through: immediately visible to all cores. *)
+        Dram.write_line t.dram ~block ~line ~src:d ~src_off:doff;
+        set t i f_dirty 0
+      end
+      else set t i f_dirty 1
+    end
+    else begin
+      if coherent then begin
+        (* Refresh from DRAM: another (coherent) core may have written. *)
+        Dram.read_line t.dram ~block ~line ~dst:d ~dst_off:doff;
+        set t i f_dirty 0
+      end;
+      Bytes.blit d (doff + from) buf pos n
+    end;
+    cache := !cache + t.costs.cache_hit_line;
+    dram :=
+      !dram
+      + if coherent && t.fill_cycles = 0 then t.costs.dram_line / 8
+        else t.fill_cycles
   done;
   charge t ~cache:!cache ~dram:!dram ~miss0 ~wb0
 
 let read t ~block ~off ~len ~dst ~dst_off =
-  let per_line l =
-    let line = line_of_key l.key in
-    let line_start = line * Layout.line_size in
-    let from = max off line_start in
-    let upto = min (off + len) (line_start + Layout.line_size) in
-    Bytes.blit l.data (from - line_start) dst (dst_off + from - off) (upto - from)
-  in
-  access t ~block ~off ~len ~write:false ~per_line
+  access t ~block ~off ~len ~buf:dst ~buf_off:dst_off ~write:false
+    ~coherent:false
 
 let write t ~block ~off ~len ~src ~src_off =
-  let per_line l =
-    let line = line_of_key l.key in
-    let line_start = line * Layout.line_size in
-    let from = max off line_start in
-    let upto = min (off + len) (line_start + Layout.line_size) in
-    Bytes.blit src (src_off + from - off) l.data (from - line_start) (upto - from);
-    l.dirty <- true
-  in
-  access t ~block ~off ~len ~write:true ~per_line
+  access t ~block ~off ~len ~buf:src ~buf_off:src_off ~write:true
+    ~coherent:false
+
+let read_coherent t ~block ~off ~len ~dst ~dst_off =
+  access t ~block ~off ~len ~buf:dst ~buf_off:dst_off ~write:false
+    ~coherent:true
+
+let write_coherent t ~block ~off ~len ~src ~src_off =
+  access t ~block ~off ~len ~buf:src ~buf_off:src_off ~write:true
+    ~coherent:true
 
 let read_string t ~block ~off ~len =
   let dst = Bytes.create len in
@@ -342,102 +470,42 @@ let write_string t ~block ~off s =
   write t ~block ~off ~len:(String.length s) ~src:(Bytes.unsafe_of_string s)
     ~src_off:0
 
-let lines_of_block t block =
-  (* Collect first: callbacks mutate the LRU list. *)
-  let acc = ref [] in
-  for line = 0 to Layout.lines_per_block - 1 do
-    let i = tab_find t (key_of ~block ~line) in
-    if i >= 0 then acc := t.tvals.(i) :: !acc
-  done;
-  !acc
+(* [invalidate_block] and [writeback_block] visit a block's resident
+   lines from the last line down, the order their hooks have always
+   fired in. *)
 
 let invalidate_block t block =
+  check_block block;
   let miss0 = t.misses and wb0 = t.writebacks in
-  let lines = lines_of_block t block in
-  List.iter
-    (fun l ->
-      note_line t l.key;
+  let dropped = ref 0 in
+  for line = Layout.lines_per_block - 1 downto 0 do
+    let key = key_of ~block ~line in
+    let s = tab_find t key in
+    if s >= 0 then begin
+      let i = t.tvals.(s) in
+      note_line t key;
       (match checker t with
       | Some chk ->
-          Check.cache_invalidate chk ~core:(cid t) ~key:l.key ~dirty:l.dirty
+          Check.cache_invalidate chk ~core:(cid t) ~key
+            ~dirty:(get t i f_dirty <> 0)
       | None -> ());
-      drop_line t l;
-      t.invalidated <- t.invalidated + 1)
-    lines;
-  charge t ~cache:(List.length lines * t.costs.invalidate_line) ~dram:0 ~miss0
-    ~wb0
+      unlink t i;
+      tab_delete t key;
+      set t i f_next t.free;
+      t.free <- i;
+      t.invalidated <- t.invalidated + 1;
+      incr dropped
+    end
+  done;
+  charge t ~cache:(!dropped * t.costs.invalidate_line) ~dram:0 ~miss0 ~wb0
 
 let writeback_block t block =
+  check_block block;
   let miss0 = t.misses and wb0 = t.writebacks in
-  let lines = lines_of_block t block in
   let cost = ref 0 in
-  List.iter
-    (fun l -> if flush_line t l then cost := !cost + dram_cost t block)
-    lines;
+  for line = Layout.lines_per_block - 1 downto 0 do
+    let s = tab_find t (key_of ~block ~line) in
+    if s >= 0 && flush_line t t.tvals.(s) then
+      cost := !cost + dram_cost t block
+  done;
   charge t ~cache:0 ~dram:!cost ~miss0 ~wb0
-
-(* Coherent accessors: model an MESI machine by keeping DRAM authoritative
-   — every write goes through to DRAM, every read refetches the line.
-   Costs: a resident (hit) line moves at near-cache speed (the hardware
-   satisfies it from cache / posted write-backs); only misses pay the
-   full DRAM transfer. *)
-
-let coherent_line_cost t ~cc ~dc =
-  (* [cc]/[dc] is the ensure_line cost split: hit or miss+fill. Resident
-     lines add a small write-through/snoop overhead instead of a DRAM
-     round trip. *)
-  if dc = 0 then (t.costs.cache_hit_line, t.costs.dram_line / 8) else (cc, dc)
-
-let read_coherent t ~block ~off ~len ~dst ~dst_off =
-  check_range ~off ~len;
-  let miss0 = t.misses and wb0 = t.writebacks in
-  let first, last = Layout.lines_touched ~off ~len in
-  let cache = ref 0 and dram = ref 0 in
-  for line = first to last do
-    let m0 = t.misses in
-    let l, cc, dc = ensure_line t ~block ~line in
-    note_line t l.key;
-    (match checker t with
-    | Some chk ->
-        Check.coherent_access chk ~core:(cid t) ~key:l.key ~write:false
-          ~filled:(t.misses > m0)
-    | None -> ());
-    (* Refresh from DRAM: another (coherent) core may have written. *)
-    Dram.read_line t.dram ~block ~line ~dst:l.data ~dst_off:0;
-    l.dirty <- false;
-    let line_start = line * Layout.line_size in
-    let from = max off line_start in
-    let upto = min (off + len) (line_start + Layout.line_size) in
-    Bytes.blit l.data (from - line_start) dst (dst_off + from - off) (upto - from);
-    let cc, dc = coherent_line_cost t ~cc ~dc in
-    cache := !cache + cc;
-    dram := !dram + dc
-  done;
-  charge t ~cache:!cache ~dram:!dram ~miss0 ~wb0
-
-let write_coherent t ~block ~off ~len ~src ~src_off =
-  check_range ~off ~len;
-  let miss0 = t.misses and wb0 = t.writebacks in
-  let first, last = Layout.lines_touched ~off ~len in
-  let cache = ref 0 and dram = ref 0 in
-  for line = first to last do
-    let m0 = t.misses in
-    let l, cc, dc = ensure_line t ~block ~line in
-    note_line t l.key;
-    (match checker t with
-    | Some chk ->
-        Check.coherent_access chk ~core:(cid t) ~key:l.key ~write:true
-          ~filled:(t.misses > m0)
-    | None -> ());
-    let line_start = line * Layout.line_size in
-    let from = max off line_start in
-    let upto = min (off + len) (line_start + Layout.line_size) in
-    Bytes.blit src (src_off + from - off) l.data (from - line_start) (upto - from);
-    (* Write-through: immediately visible to all cores. *)
-    Dram.write_line t.dram ~block ~line ~src:l.data ~src_off:0;
-    l.dirty <- false;
-    let cc, dc = coherent_line_cost t ~cc ~dc in
-    cache := !cache + cc;
-    dram := !dram + dc
-  done;
-  charge t ~cache:!cache ~dram:!dram ~miss0 ~wb0

@@ -51,19 +51,20 @@ let flags_rw = { rd = true; wr = true; creat = false; excl = false; trunc = fals
 
 let flags_a = { rd = false; wr = true; creat = true; excl = false; trunc = false; append = true }
 
-(* FNV-1a over the directory inode number and the entry name. *)
+(* FNV-1a over the directory inode number and the entry name. Native ints
+   wrap mod 2^63, so the low 62 bits kept at the end are exactly those of
+   the 64-bit hash, without a boxed [Int64] per byte. The offset basis is
+   0xcbf29ce484222325 mod 2^63. *)
 let hash_name ~dir ~name =
-  let h = ref 0xcbf29ce484222325L in
-  let mix byte =
-    h := Int64.logxor !h (Int64.of_int byte);
-    h := Int64.mul !h 0x100000001b3L
-  in
-  mix (dir.server land 0xff);
-  mix (dir.ino land 0xff);
-  mix ((dir.ino lsr 8) land 0xff);
-  mix ((dir.ino lsr 16) land 0xff);
-  String.iter (fun c -> mix (Char.code c)) name;
-  Int64.to_int (Int64.logand !h 0x3FFFFFFFFFFFFFFFL)
+  let[@inline] mix h byte = (h lxor byte) * 0x100000001b3 in
+  let h = mix 0x4bf29ce484222325 (dir.server land 0xff) in
+  let h = mix h (dir.ino land 0xff) in
+  let h = mix h ((dir.ino lsr 8) land 0xff) in
+  let h = ref (mix h ((dir.ino lsr 16) land 0xff)) in
+  for i = 0 to String.length name - 1 do
+    h := mix !h (Char.code (String.unsafe_get name i))
+  done;
+  !h land 0x3FFFFFFFFFFFFFFF
 
 (* Partial distribution (§6 extension): a distributed directory's shard
    set is [width] servers starting at a per-directory base, so different

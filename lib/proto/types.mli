@@ -63,6 +63,11 @@ val flags_rw : open_flags
 val flags_a : open_flags
 (** creat + append + write-only. *)
 
+val hash_name : dir:ino -> name:string -> int
+(** FNV-1a over the directory's server, the low 24 bits of its inode
+    number and [name], truncated to 62 bits; the hash behind
+    {!dentry_server}. *)
+
 (** [dentry_server ~dist ~width ~nservers ~dir ~name] is the server
     holding the directory entry [name] of directory [dir]: the
     directory's home server when centralized; when distributed, one of

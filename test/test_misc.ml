@@ -96,6 +96,42 @@ let test_req_names_distinct () =
   Alcotest.(check int) "all distinct" (List.length names)
     (List.length (List.sort_uniq compare names))
 
+(* The 64-bit FNV-1a that [Types.hash_name] computes with native ints,
+   kept here in [Int64] as the reference. *)
+let hash_name_int64 ~(dir : Types.ino) ~name =
+  let h = ref 0xcbf29ce484222325L in
+  let mix byte =
+    h := Int64.logxor !h (Int64.of_int byte);
+    h := Int64.mul !h 0x100000001b3L
+  in
+  mix (dir.server land 0xff);
+  mix (dir.ino land 0xff);
+  mix ((dir.ino lsr 8) land 0xff);
+  mix ((dir.ino lsr 16) land 0xff);
+  String.iter (fun c -> mix (Char.code c)) name;
+  Int64.to_int (Int64.logand !h 0x3FFFFFFFFFFFFFFFL)
+
+let test_hash_name_matches_int64 () =
+  let rng = Random.State.make [| 42 |] in
+  let check dir name =
+    let want = hash_name_int64 ~dir ~name and got = Types.hash_name ~dir ~name in
+    if got <> want then
+      Alcotest.failf "hash_name %d.%d %S: %d, Int64 reference %d"
+        dir.Types.server dir.Types.ino name got want
+  in
+  check Types.root_ino "";
+  check { Types.server = 255; ino = 0xFFFFFF } (String.make 40 '\255');
+  for _ = 1 to 20_000 do
+    let dir =
+      { Types.server = Random.State.int rng 1024; ino = Random.State.bits rng }
+    in
+    let name =
+      String.init (Random.State.int rng 24) (fun _ ->
+          Char.chr (Random.State.int rng 256))
+    in
+    check dir name
+  done
+
 let test_pp_smoke () =
   let s =
     Format.asprintf "%a / %a / %a" Types.pp_ino Types.root_ino Types.pp_ftype
@@ -199,6 +235,7 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "errno strings" `Quick test_errno_strings;
         tc "req names distinct" `Quick test_req_names_distinct;
         tc "pp smoke" `Quick test_pp_smoke;
+        tc "hash_name matches Int64 FNV-1a" `Quick test_hash_name_matches_int64;
       ] );
     ( "misc.fdtable",
       [

@@ -152,6 +152,43 @@ let test_ring_overflow () =
             (Array.fold_left Int64.add 0L r.Trace.r_buckets))
         (Trace.profile tr)
 
+(* The CLI verdicts on the same overflow: [profile] reads nothing from
+   the ring, so a tiny ring must neither warn nor fail it; the [trace]
+   export does lose events, and --strict must still refuse it. *)
+let hare_cli args =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/hare_cli.exe"
+  in
+  if not (Sys.file_exists exe) then Alcotest.failf "%s not built" exe;
+  let out = Filename.temp_file "hare_cli" ".out"
+  and err = Filename.temp_file "hare_cli" ".err" in
+  let rc = Sys.command (Filename.quote_command exe ~stdout:out ~stderr:err args) in
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  let o = read out and e = read err in
+  Sys.remove out;
+  Sys.remove err;
+  (rc, o, e)
+
+let test_cli_drop_verdicts () =
+  let rc, out, err =
+    hare_cli [ "profile"; "creates"; "--cores"; "4"; "--trace-cap"; "16" ]
+  in
+  Alcotest.(check int) "profile exits 0 despite drops" 0 rc;
+  Alcotest.(check bool) "buckets sum exactly" true
+    (contains ~needle:"unattributed cycles: 0 (of " out);
+  Alcotest.(check bool) "the drops are reported" true
+    (contains ~needle:"event(s) dropped by rotation" out);
+  Alcotest.(check bool) "no warning" false (contains ~needle:"WARNING" err);
+  let trace_json = Filename.temp_file "hare_cli" ".json" in
+  let rc, _, err =
+    hare_cli
+      [ "trace"; "creates"; "--cores"; "4"; "--trace-cap"; "16"; "--strict";
+        "-o"; trace_json ]
+  in
+  Sys.remove trace_json;
+  Alcotest.(check int) "trace --strict fails on drops" 1 rc;
+  Alcotest.(check bool) "trace warns" true (contains ~needle:"WARNING" err)
+
 (* ---------- exact attribution ------------------------------------------- *)
 
 let test_profile_exact () =
@@ -233,8 +270,12 @@ let suites : (string * unit Alcotest.test_case list) list =
           test_export_byte_identical;
       ] );
     ( "trace.ring",
-      [ tc "overflow drops oldest, counts, stays coherent" `Quick
-          test_ring_overflow ] );
+      [
+        tc "overflow drops oldest, counts, stays coherent" `Quick
+          test_ring_overflow;
+        tc "profile complete, trace export incomplete" `Quick
+          test_cli_drop_verdicts;
+      ] );
     ( "trace.attribution",
       [ tc "bucket sums equal span totals" `Quick test_profile_exact ] );
     ( "trace.satellites",
