@@ -2,7 +2,8 @@
    evaluation (§5) from the simulator, then runs one Bechamel
    micro-benchmark per figure measuring the wall-clock cost of the
    simulated experiment underlying it, and per-layer micro-benchmarks of
-   the private cache (ns and minor words per line).
+   the private cache (ns and minor words per line) and the engine's event
+   queue (ns and minor words per push+pop).
 
    Usage:
      dune exec bench/main.exe              # everything, paper-scale shapes
@@ -148,9 +149,45 @@ module Minor_words = struct
   let unit () = "words"
 end
 
-let run_pcache_micro () =
+(* ---------- per-layer micro-benchmarks: the event queue ---------------- *)
+
+module Heap = Hare_sim.Heap
+
+(* One push and one pop per run, with [pending] entries queued, the
+   delta mix of a 512-core creates run: 20% of pushes due at the current
+   time (wakers, spawns), the rest 256-2,048 cycles ahead (compute and
+   message costs). The current time is the last popped time, as in the
+   engine. The value is a static closure, so the write barrier never
+   records a young value here as it does in the engine. *)
+let evq_test ~pending =
   let open Bechamel in
-  print_endline "\n---- per-layer: Pcache, per 64-byte line ----\n";
+  let rng = Hare_sim.Rng.create ~seed:3L in
+  let deltas =
+    Array.init 4096 (fun _ ->
+        if Hare_sim.Rng.int rng 5 = 0 then 0
+        else 256 + Hare_sim.Rng.int rng 1793)
+  in
+  let h = Heap.create () and now = ref 0 and seq = ref 0 in
+  let push () =
+    incr seq;
+    Heap.push h ~time:(!now + deltas.(!seq land 4095)) ~seq:!seq ignore
+  in
+  for _ = 1 to pending do
+    push ()
+  done;
+  Test.make
+    ~name:(Printf.sprintf "micro/evq-push-pop/%d" pending)
+    (Staged.stage (fun () ->
+         push ();
+         let time, _, _ = Heap.pop_min h in
+         now := time))
+
+(* Runs each test inside one engine fiber (the pcache tests charge
+   cycles, which suspends) and prints ns and minor words per [per] units
+   of work. *)
+let run_layer_micro ~title ~unit ~per tests =
+  let open Bechamel in
+  Printf.printf "\n---- per-layer: %s, per %s ----\n\n" title unit;
   let clock = Toolkit.Instance.monotonic_clock
   and words =
     Measure.instance (module Minor_words) (Measure.register (module Minor_words))
@@ -159,7 +196,7 @@ let run_pcache_micro () =
     Benchmark.cfg ~limit:50 ~quota:(Time.second 0.25) ~kde:None
       ~stabilize:false ()
   in
-  let per_line instance tbl =
+  let per_unit instance tbl =
     let ols =
       Analyze.all
         (Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |])
@@ -168,26 +205,28 @@ let run_pcache_micro () =
     Hashtbl.fold
       (fun _ v _ ->
         match Analyze.OLS.estimates v with
-        | Some (e :: _) -> e /. float_of_int Layout.lines_per_block
+        | Some (e :: _) -> e /. float_of_int per
         | _ -> nan)
       ols nan
   in
   let e = Engine.create () in
   let rows = ref [] in
   ignore
-    (Engine.spawn e ~name:"pcache-micro" (fun () ->
+    (Engine.spawn e ~name:"layer-micro" (fun () ->
          rows :=
            List.map
              (fun test ->
                let tbl = Benchmark.all cfg [ clock; words ] test in
                [
                  Test.name test;
-                 Printf.sprintf "%.2f" (per_line clock tbl);
-                 Printf.sprintf "%.2f" (per_line words tbl);
+                 Printf.sprintf "%.2f" (per_unit clock tbl);
+                 Printf.sprintf "%.2f" (per_unit words tbl);
                ])
-             (pcache_tests e)));
+             (tests e)));
   Engine.run e;
-  Hare_stats.Table.print ~headers:[ "layer"; "ns/line"; "minor words/line" ] !rows
+  Hare_stats.Table.print
+    ~headers:[ "layer"; "ns/" ^ unit; "minor words/" ^ unit ]
+    !rows
 
 let run_bechamel () =
   let open Bechamel in
@@ -225,7 +264,10 @@ let run_bechamel () =
            [ name; est ])
   in
   Hare_stats.Table.print ~headers:[ "experiment"; "wall-clock" ] rows;
-  run_pcache_micro ()
+  run_layer_micro ~title:"Pcache" ~unit:"line" ~per:Layout.lines_per_block
+    pcache_tests;
+  run_layer_micro ~title:"event queue" ~unit:"push+pop" ~per:1 (fun _ ->
+      [ evq_test ~pending:80; evq_test ~pending:800 ])
 
 (* ---------- --json: machine-readable benchmark results ----------------- *)
 

@@ -1,14 +1,19 @@
-(** Binary min-heap keyed by [(time, seq)] native-int pairs.
+(** Event queue keyed by [(time, seq)] native-int pairs.
 
-    The key is a (time, sequence) pair: the heap orders events primarily by
-    simulated time and breaks ties by insertion sequence, which gives the
-    discrete-event engine a deterministic FIFO order for simultaneous
+    The key is a (time, sequence) pair: the queue orders events primarily
+    by simulated time and breaks ties by insertion sequence, which gives
+    the discrete-event engine a deterministic FIFO order for simultaneous
     events.
 
+    Entries due within 4,096 cycles of the largest time popped so far go
+    into a timing wheel of one-cycle slots, each slot a list sorted by
+    seq; all others go into a binary min-heap. A pop takes the smaller of
+    the two minima, so the order is exactly that of one binary heap.
+
     Keys are native ints (63-bit on 64-bit platforms), not int64: simulated
-    cycle counts stay far below 2^62, and unboxed keys in flat parallel
-    arrays keep the per-event push/pop — the engine's hottest path — free
-    of allocation. *)
+    cycle counts stay far below 2^62, and unboxed keys in flat arrays keep
+    the per-event push/pop — the engine's hottest path — free of
+    allocation beyond the returned tuple. *)
 
 type 'a t
 
@@ -47,6 +52,8 @@ val min_time : 'a t -> int
     {!pop_min} would return). Empty array on an empty heap. *)
 val min_entries : 'a t -> (int * int) array
 
-(** [remove_seq h seq] removes the entry with insertion sequence [seq]
-    and returns [(time, tag, value)]. Raises [Not_found] if absent. *)
+(** [remove_seq h seq] removes the entry with insertion sequence [seq],
+    which must be one of the {!min_entries} candidates, and returns
+    [(time, tag, value)]. Like {!pop_min}, it moves the queue's clock to
+    that time. Raises [Not_found] if no candidate has that seq. *)
 val remove_seq : 'a t -> int -> int * int * 'a

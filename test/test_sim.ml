@@ -100,6 +100,163 @@ let test_heap_empty () =
   Alcotest.check_raises "pop empty" Not_found (fun () ->
       ignore (Heap.pop_min h))
 
+(* Differential test of [Heap] against a list sorted by (time, seq).
+   Push times are chosen relative to the largest time popped so far (the
+   wheel's window base, 4,096 cycles wide): before it, inside it, beyond
+   it, or equal to a pending entry's time (a tie that can fall on either
+   side of the wheel/overflow split). A seq can be out of order, and a
+   run pushes and pops in a monotone walk long enough to wrap the wheel
+   many times. The explorer path is exercised on the minimum candidates.
+   Every step compares length, minimum time and peek. *)
+type evq_op =
+  | Push of { where : int; off : int; ooo : bool; tag : int }
+      (* where: 0 before the window, 1 inside, 2 beyond, 3 tie *)
+  | Pop
+  | Remove of int (* index into the minimum candidates *)
+  | Run of int
+
+let show_evq_op = function
+  | Push { where; off; ooo; tag } ->
+      Printf.sprintf "push %s+%d%s tag %d"
+        [| "before"; "inside"; "beyond"; "tie" |].(where)
+        off
+        (if ooo then " ooo" else "")
+        tag
+  | Pop -> "pop"
+  | Remove i -> Printf.sprintf "remove cand %d" i
+  | Run n -> Printf.sprintf "run %d" n
+
+let gen_evq_op =
+  let open QCheck.Gen in
+  frequency
+    [
+      ( 8,
+        map4
+          (fun where off ooo tag -> Push { where; off; ooo; tag })
+          (frequency
+             [ (1, return 0); (4, return 1); (2, return 2); (3, return 3) ])
+          (frequency [ (3, int_bound 8); (2, int_bound 5000) ])
+          (frequency [ (3, return false); (1, return true) ])
+          (int_bound 9) );
+      (4, return Pop);
+      (2, map (fun i -> Remove i) (int_bound 7));
+      (1, map (fun n -> Run n) (int_range 1 120));
+    ]
+
+let arb_evq =
+  QCheck.make
+    ~print:(fun ops -> String.concat "\n" (List.map show_evq_op ops))
+    ~shrink:QCheck.Shrink.list
+    QCheck.Gen.(list_size (int_range 1 150) gen_evq_op)
+
+let prop_heap_matches_sorted_list =
+  QCheck.Test.make ~name:"heap matches a sorted-list model" ~count:400 arb_evq
+    (fun ops ->
+      let h = Heap.create () in
+      let model = ref [] (* (time, seq, tag), sorted by (time, seq) *) in
+      let base = ref 0 and next_seq = ref 1000 in
+      let used = Hashtbl.create 64 in
+      let key (t, s, _) = (t, s) in
+      let insert e =
+        model := List.merge (fun a b -> compare (key a) (key b)) [ e ] !model
+      in
+      let fail step fmt = QCheck.Test.fail_reportf ("step %d: " ^^ fmt) step in
+      let fresh_seq ooo off =
+        let s =
+          if ooo && not (Hashtbl.mem used off) then off
+          else begin
+            next_seq := !next_seq + 1 + (off land 3);
+            while Hashtbl.mem used !next_seq do
+              incr next_seq
+            done;
+            !next_seq
+          end
+        in
+        Hashtbl.replace used s ();
+        s
+      in
+      let push time seq tag =
+        Heap.push h ~tag ~time ~seq (seq, tag);
+        insert (time, seq, tag)
+      in
+      let pop step =
+        match !model with
+        | [] -> ()
+        | (t, s, g) :: rest ->
+            let t', s', v = Heap.pop_min h in
+            if (t', s', v) <> (t, s, (s, g)) then
+              fail step "popped (%d, %d), model (%d, %d)" t' s' t s;
+            model := rest;
+            base := max !base t
+      in
+      let check step =
+        if Heap.length h <> List.length !model then
+          fail step "length %d, model %d" (Heap.length h) (List.length !model);
+        match !model with
+        | [] -> if not (Heap.is_empty h) then fail step "not empty"
+        | (t, s, _) :: _ ->
+            let t', s', _ = Heap.peek_min h in
+            if (t', s') <> (t, s) || Heap.min_time h <> t then
+              fail step "peek (%d, %d), model (%d, %d)" t' s' t s
+      in
+      List.iteri
+        (fun step op ->
+          (match op with
+          | Push { where; off; ooo; tag } ->
+              let time =
+                match (where, !model) with
+                | 0, _ -> max 0 (!base - 1 - off)
+                | 1, _ -> !base + (off land 4095)
+                | 2, _ -> !base + 4096 + off
+                | _, [] -> !base
+                | _, m ->
+                    let t, _, _ = List.nth m (off mod List.length m) in
+                    t
+              in
+              push time (fresh_seq ooo off) tag
+          | Pop -> pop step
+          | Remove i -> (
+              match !model with
+              | [] ->
+                  if Heap.min_entries h <> [||] then
+                    fail step "candidates on empty"
+              | (tmin, _, _) :: _ ->
+                  let want =
+                    List.filter_map
+                      (fun (t, s, g) -> if t = tmin then Some (s, g) else None)
+                      !model
+                  in
+                  let got = Array.to_list (Heap.min_entries h) in
+                  if got <> want then
+                    fail step "%d candidates, model %d" (List.length got)
+                      (List.length want);
+                  let s, g = List.nth want (i mod List.length want) in
+                  let t', g', v = Heap.remove_seq h s in
+                  if (t', g', v) <> (tmin, g, (s, g)) then
+                    fail step "removed seq %d at %d, model at %d" s t' tmin;
+                  model := List.filter (fun (_, s', _) -> s' <> s) !model;
+                  base := max !base tmin;
+                  (* A pending entry that is not a candidate stays put. *)
+                  let tmin' = match !model with (t, _, _) :: _ -> t | [] -> 0 in
+                  (match List.find_opt (fun (t, _, _) -> t > tmin') !model with
+                  | Some (_, s', _) -> (
+                      match Heap.remove_seq h s' with
+                      | exception Not_found -> ()
+                      | _ -> fail step "removed non-candidate seq %d" s')
+                  | None -> ()))
+          | Run n ->
+              for k = 1 to n do
+                push (!base + (k * 977 land 2047)) (fresh_seq false k) k;
+                pop step
+              done);
+          check step)
+        ops;
+      while !model <> [] do
+        pop max_int;
+        check max_int
+      done;
+      true)
+
 let test_rng_deterministic () =
   let a = Rng.create ~seed:42L and b = Rng.create ~seed:42L in
   for _ = 1 to 100 do
@@ -522,6 +679,7 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "large" `Quick test_heap_large;
         tc "empty" `Quick test_heap_empty;
         tc "property 100k" `Quick test_heap_property_100k;
+        QCheck_alcotest.to_alcotest prop_heap_matches_sorted_list;
       ] );
     ( "sim.rng",
       [
