@@ -10,6 +10,10 @@
 
 open Cmdliner
 module Config = Hare_config.Config
+module Spec = Hare_workloads.Spec
+module Machine = Hare.Machine
+module Check = Hare_check.Check
+module Sanity = Hare_stats.Sanity
 module Figures = Hare_experiments.Figures
 module Driver = Hare_experiments.Driver
 module World = Hare_experiments.World
@@ -18,23 +22,28 @@ module LD = Driver.Make (World.Linux_w)
 
 (* ---------- shared options ---------------------------------------------- *)
 
-let cores_arg =
-  Arg.(value & opt int 8 & info [ "cores" ] ~docv:"N" ~doc:"Number of cores.")
+(* Every flag is defined once here; a subcommand whose default differs
+   passes it in. *)
 
-let nprocs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "nprocs" ] ~docv:"N"
-        ~doc:"Worker processes (default: one per application core).")
+let int_opt name default docv doc =
+  Arg.(value & opt int default & info [ name ] ~docv ~doc)
+
+let cores_arg = int_opt "cores" 8 "N" "Number of cores."
+
+let nprocs_arg ?(doc = "Worker processes (default: one per application core).")
+    () =
+  Arg.(value & opt (some int) None & info [ "nprocs" ] ~docv:"N" ~doc)
 
 let scale_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "scale" ] ~docv:"K"
-        ~doc:
-          "Workload scale multiplier (1 = fast default; larger approaches \
-           paper-size runs).")
+  int_opt "scale" 1 "K"
+    "Workload scale multiplier (1 = fast default; larger approaches \
+     paper-size runs)."
+
+let bench_arg ?default ?(doc = "Benchmark name (see `hare_cli list`).") () =
+  let i = Arg.info [] ~docv:"BENCH" ~doc in
+  match default with
+  | None -> Arg.(required & pos 0 (some string) None i)
+  | Some d -> Arg.(value & pos 0 string d i)
 
 let world_arg =
   Arg.(
@@ -43,12 +52,11 @@ let world_arg =
     & info [ "world" ] ~docv:"WORLD"
         ~doc:"System under test: hare, linux (tmpfs baseline), unfs.")
 
-let split_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "split" ] ~docv:"S"
-        ~doc:"Dedicate $(docv) cores to file servers (default: timeshare).")
+(* [ty]/[default] are [some int]/[None] or [int] and a fixed default. *)
+let split_arg
+    ?(doc = "Dedicate $(docv) cores to file servers (default: timeshare).") ty
+    default =
+  Arg.(value & opt ty default & info [ "split" ] ~docv:"S" ~doc)
 
 let flag name doc = Arg.(value & flag & info [ name ] ~doc)
 
@@ -83,10 +91,8 @@ let shard_arg =
            rendezvous ring (extension; overrides --split).")
 
 let vnodes_arg =
-  Arg.(
-    value & opt int 32
-    & info [ "vnodes" ] ~docv:"V"
-        ~doc:"Hash points per server on the placement ring (with --shard).")
+  int_opt "vnodes" 32 "V"
+    "Hash points per server on the placement ring (with --shard)."
 
 let shard_plan_arg =
   Arg.(
@@ -96,76 +102,182 @@ let shard_plan_arg =
           "Ring-membership plan (with --shard): 'add@CYCLES' activates a \
            spare server, 'remove:SID@CYCLES' drains one; ';'-separated.")
 
-let mk_config ?(shard = None) ?(vnodes = 32) ?(shard_plan = "") cores split nd
-    nb ndir ndc na width st =
-  let c = Driver.default_config ~ncores:cores in
-  let c =
-    match (shard, split) with
-    | Some s, _ ->
-        {
-          c with
-          Config.placement = Config.Sharded { servers = s; vnodes };
-          shard_plan;
-        }
-    | None, Some s -> { c with Config.placement = Config.Split s }
-    | None, None -> c
-  in
+let seed_arg ?(docv = "S") ?(doc = "Simulation seed.") () =
+  int_opt "seed" 1 docv doc
+
+let plan_arg doc =
+  Arg.(value & opt string "" & info [ "plan" ] ~docv:"SPEC" ~doc)
+
+(* [ty]/[default] as for [split_arg]; an absent [some int] deadline is
+   resolved by [deadline_for]. *)
+let deadline_arg
+    ?(doc =
+      "First-attempt RPC deadline in cycles; 0 disables retries. Defaults to \
+       0 without a plan, 25000 with one.") ty default =
+  Arg.(value & opt ty default & info [ "deadline" ] ~docv:"CYCLES" ~doc)
+
+let retries_arg default =
+  int_opt "retries" default "N" "RPC attempts before giving up with EIO."
+
+let window_arg default =
+  int_opt "window" default "W" "rpc_window (1 = synchronous)."
+
+let batch_arg default =
+  int_opt "batch" default "B" "batch_max (1 = one request per wakeup)."
+
+let extent_arg default =
+  int_opt "extent" default "E" "alloc_extent (1 = block-at-a-time)."
+
+let check_flag = flag "check" "Run with the coherence sanitizer attached."
+
+let cap_arg =
+  int_opt "trace-cap" 65536 "N"
+    "Trace ring-buffer capacity in events; the oldest events are dropped \
+     (and counted) beyond it. 0 = no span ring: the export is a clean \
+     metadata-only artifact (never fails --strict)."
+
+(* ---------- one run path ------------------------------------------------ *)
+
+let find_spec name =
+  match Hare_workloads.All.find name with
+  | spec -> spec
+  | exception Not_found ->
+      Printf.eprintf "unknown benchmark %S; try `hare_cli list`\n" name;
+      exit 1
+
+(* The experiments' standard machine, placing processes by [spec]'s
+   policy. *)
+let base_config (spec : Spec.t) cores =
   {
-    c with
-    Config.dir_distribution = not nd;
-    dir_broadcast = not nb;
-    direct_access = not ndir;
-    dir_cache = not ndc;
-    creation_affinity = not na;
-    dist_width = width;
-    block_stealing = st;
+    (Driver.default_config ~ncores:cores) with
+    Config.exec_policy = spec.Spec.exec_policy;
   }
+
+(* [config] if a machine can boot from it; otherwise one line on stderr
+   and exit 1. *)
+let validated config =
+  let bad msg =
+    Printf.eprintf "bad configuration: %s\n" msg;
+    exit 1
+  in
+  (match Config.validate config with Ok () -> () | Error msg -> bad msg);
+  match Hare_fault.Plan.parse config.Config.fault_plan with
+  | Error msg -> bad ("fault plan: " ^ msg)
+  | Ok plan ->
+      let nphys = Config.physical_servers config in
+      List.iter
+        (fun (ev : Hare_fault.Plan.server_event) ->
+          if ev.ev_sid < 0 || ev.ev_sid >= nphys then
+            bad
+              (Printf.sprintf
+                 "fault plan targets fs%d but only %d server(s) exist"
+                 ev.ev_sid nphys))
+        plan.events;
+      config
+
+(* Wire faults only bite tagged (retryable) requests, so a plan without
+   an armed deadline would silently no-op; conversely an armed deadline
+   with no plan still times out the slowest RPCs. Default to off when
+   fault-free and a sane deadline otherwise. *)
+let deadline_for ~plan = function
+  | Some d -> d
+  | None -> if plan = "" then 0 else 25_000
+
+let placement_of split c =
+  match split with
+  | Some s -> { c with Config.placement = Config.Split s }
+  | None -> c
+
+(* Boot [config] and run [spec] on it through the driver's run loop.
+   Unlike [bench], the reports built on this cover the whole run, setup
+   included. *)
+let run_spec ?nprocs ~scale config spec =
+  let config = validated config in
+  let m = Machine.boot config in
+  let nprocs =
+    match nprocs with
+    | Some n -> n
+    | None -> List.length (Config.app_cores config)
+  in
+  (m, HD.exec ~nprocs ~scale m spec)
+
+(* Say why a run did not end with every worker exiting 0; true if so. *)
+let workers_failed ?(prefix = "") ?(why = "") = function
+  | Some 0 -> false
+  | Some n ->
+      Printf.printf "%s%d worker(s) failed%s\n" prefix n why;
+      true
+  | None ->
+      Printf.printf "%sinit never finished\n" prefix;
+      true
+
+let counter_table key value counters =
+  Hare_stats.Table.print ~headers:[ key; value ]
+    (List.map (fun (k, v) -> [ k; string_of_int v ]) counters)
+
+let list_violations vs =
+  List.iteri
+    (fun i v -> if i < 20 then Format.printf "%a@." Check.pp_violation v)
+    vs;
+  let n = List.length vs in
+  if n > 20 then Printf.printf "... and %d more\n" (n - 20)
 
 (* ---------- bench command ----------------------------------------------- *)
 
 let run_bench name cores nprocs scale world split shard vnodes shard_plan nd nb
     ndir ndc na width st verbose =
-  match Hare_workloads.All.find name with
-  | exception Not_found ->
-      Printf.eprintf "unknown benchmark %S; try `hare_cli list`\n" name;
-      1
-  | spec ->
-      let config =
-        mk_config ~shard ~vnodes ~shard_plan cores split nd nb ndir ndc na
-          width st
-      in
-      let t0 = Unix.gettimeofday () in
-      let result =
-        match world with
-        | `Hare -> HD.run ~config ?nprocs ~scale spec
-        | `Linux -> LD.run ~config ?nprocs ~scale spec
-        | `Unfs -> HD.run ~config:(World.unfs_config config) ?nprocs ~scale spec
-      in
-      let wall = Unix.gettimeofday () -. t0 in
-      Printf.printf
-        "%s on %s: %d procs, %d ops in %.6f simulated seconds = %.0f ops/s\n"
-        result.Driver.bench result.Driver.world result.Driver.nprocs
-        result.Driver.ops result.Driver.elapsed result.Driver.throughput;
-      let es = result.Driver.engine in
-      if es.World.es_events > 0 then
-        Printf.printf
-          "engine: %d events, peak %d live fibers, %.2fs wall (%.0f \
-           sim_ops/s host-side)\n"
-          es.World.es_events es.World.es_peak_fibers wall
-          (if wall > 0.0 then float_of_int result.Driver.ops /. wall else 0.0);
-      if verbose then begin
-        print_endline "system-call mix:";
-        Format.printf "%a@." Hare_stats.Opcount.pp result.Driver.syscalls
-      end;
-      0
+  let spec = find_spec name in
+  let c = placement_of split (Driver.default_config ~ncores:cores) in
+  let c =
+    match shard with
+    | Some s ->
+        {
+          c with
+          Config.placement = Config.Sharded { servers = s; vnodes };
+          shard_plan;
+        }
+    | None -> c
+  in
+  let c =
+    {
+      c with
+      Config.dir_distribution = not nd;
+      dir_broadcast = not nb;
+      direct_access = not ndir;
+      dir_cache = not ndc;
+      creation_affinity = not na;
+      dist_width = width;
+      block_stealing = st;
+    }
+  in
+  let config =
+    validated (match world with `Unfs -> World.unfs_config c | _ -> c)
+  in
+  let t0 = Unix.gettimeofday () in
+  let result =
+    match world with
+    | `Hare | `Unfs -> HD.run ~config ?nprocs ~scale spec
+    | `Linux -> LD.run ~config ?nprocs ~scale spec
+  in
+  let wall = Unix.gettimeofday () -. t0 in
+  Printf.printf
+    "%s on %s: %d procs, %d ops in %.6f simulated seconds = %.0f ops/s\n"
+    result.Driver.bench result.Driver.world result.Driver.nprocs
+    result.Driver.ops result.Driver.elapsed result.Driver.throughput;
+  let es = result.Driver.engine in
+  if es.World.es_events > 0 then
+    Printf.printf
+      "engine: %d events, peak %d live fibers, %.2fs wall (%.0f sim_ops/s \
+       host-side)\n"
+      es.World.es_events es.World.es_peak_fibers wall
+      (if wall > 0.0 then float_of_int result.Driver.ops /. wall else 0.0);
+  if verbose then begin
+    print_endline "system-call mix:";
+    Format.printf "%a@." Hare_stats.Opcount.pp result.Driver.syscalls
+  end;
+  0
 
 let bench_cmd =
-  let name_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"BENCH" ~doc:"Benchmark name (see `hare_cli list`).")
-  in
   let verbose = flag "verbose" "Also print the system-call mix." in
   Cmd.v
     (Cmd.info "bench"
@@ -177,10 +289,11 @@ let bench_cmd =
           emits the full 64-512-core engine-scalability sweep \
           (sim_ops_per_sec, sim_events_per_sec, peak_live_fibers per row).")
     Term.(
-      const run_bench $ name_arg $ cores_arg $ nprocs_arg $ scale_arg
-      $ world_arg $ split_arg $ shard_arg $ vnodes_arg $ shard_plan_arg
-      $ no_dist $ no_bcast $ no_direct $ no_dcache $ no_affinity $ width_arg
-      $ steal $ verbose)
+      const run_bench $ bench_arg () $ cores_arg $ nprocs_arg () $ scale_arg
+      $ world_arg
+      $ split_arg Arg.(some int) None
+      $ shard_arg $ vnodes_arg $ shard_plan_arg $ no_dist $ no_bcast
+      $ no_direct $ no_dcache $ no_affinity $ width_arg $ steal $ verbose)
 
 (* ---------- fig command ------------------------------------------------- *)
 
@@ -242,9 +355,8 @@ let shell_help =
 
 let run_shell cores =
   let module Posix = Hare.Posix in
-  let config = mk_config cores None false false false false false None false in
-  let m = Hare.Machine.boot config in
-  Hare.Machine.register_program m "shell-worker" (fun p args ->
+  let m = Machine.boot (Driver.default_config ~ncores:cores) in
+  Machine.register_program m "shell-worker" (fun p args ->
       let id = match args with a :: _ -> a | [] -> "?" in
       let fd =
         Posix.openf p
@@ -255,7 +367,7 @@ let run_shell cores =
       Posix.close p fd;
       0);
   let init, _console =
-    Hare.Machine.spawn_init m ~name:"shell" (fun p _ ->
+    Machine.spawn_init m ~name:"shell" (fun p _ ->
         print_string shell_help;
         let quit = ref false in
         while not !quit do
@@ -328,7 +440,7 @@ let run_shell cores =
                 | [ "time" ] ->
                     Printf.printf "%.3f simulated ms
 "
-                      (Hare.Machine.seconds m *. 1000.0)
+                      (Machine.seconds m *. 1000.0)
                 | _ -> print_endline "unknown command; try 'help'"
               with Hare_proto.Errno.Error (e, ctx) ->
                 Printf.printf "error: %s (%s)
@@ -337,7 +449,7 @@ let run_shell cores =
         done;
         0)
   in
-  Hare.Machine.run m;
+  Machine.run m;
   ignore init;
   0
 
@@ -355,137 +467,27 @@ let shell_cmd =
    counters: what the injector did to the messages, and what the retry
    and crash-recovery machinery did about it. *)
 let run_faults name plan deadline retries seed cores nprocs scale strict =
-  match Hare_workloads.All.find name with
-  | exception Not_found ->
-      Printf.eprintf "unknown benchmark %S; try `hare_cli list`\n" name;
-      1
-  | spec -> (
-      match Hare_fault.Plan.parse plan with
-      | Error msg ->
-          Printf.eprintf "bad --plan: %s\n" msg;
-          1
-      | Ok _ ->
-          let module Machine = Hare.Machine in
-          let module Posix = Hare.Posix in
-          let module Api = Hare_api.Api in
-          (* Wire faults only bite tagged (retryable) requests, so a plan
-             without an armed deadline would silently no-op; conversely an
-             armed deadline with no plan still times out the slowest RPCs.
-             Default to off when fault-free and a sane deadline otherwise. *)
-          let deadline =
-            match deadline with
-            | Some d -> d
-            | None -> if plan = "" then 0 else 25_000
-          in
-          if plan <> "" && deadline <= 0 then (
-            Printf.eprintf
-              "a fault plan needs --deadline > 0: without timeouts clients \
-               never retry a dropped message\n";
-            exit 1);
-          let config =
-            {
-              (Driver.default_config ~ncores:cores) with
-              Config.exec_policy = spec.Hare_workloads.Spec.exec_policy;
-              fault_plan = plan;
-              rpc_deadline = deadline;
-              rpc_retries = retries;
-              partial_broadcast = not strict;
-              seed = Int64.of_int seed;
-            }
-          in
-          let m = Machine.boot config in
-          let api = World.Hare_w.api m in
-          let nprocs =
-            match nprocs with
-            | Some n -> n
-            | None -> List.length (Config.app_cores config)
-          in
-          List.iter
-            (fun (prog, body) -> api.Api.register_program prog body)
-            (spec.Hare_workloads.Spec.programs api);
-          api.Api.register_program "bench-worker" (fun p args ->
-              let idx = match args with a :: _ -> int_of_string a | [] -> 0 in
-              spec.Hare_workloads.Spec.worker api p ~idx ~nprocs ~scale;
-              0);
-          let init, _ =
-            Machine.spawn_init m
-              ~name:("faults-" ^ spec.Hare_workloads.Spec.name)
-              (fun p _ ->
-                spec.Hare_workloads.Spec.setup api p ~nprocs ~scale;
-                let workers =
-                  match spec.Hare_workloads.Spec.mode with
-                  | Hare_workloads.Spec.Workers -> nprocs
-                  | Hare_workloads.Spec.Make -> 1
-                in
-                let pids =
-                  List.init workers (fun i ->
-                      Posix.spawn p ~prog:"bench-worker"
-                        ~args:[ string_of_int i ])
-                in
-                List.fold_left
-                  (fun acc pid ->
-                    if Posix.waitpid p pid <> 0 then acc + 1 else acc)
-                  0 pids)
-          in
-          Machine.run m;
-          let failed =
-            match Machine.exit_status m init with
-            | Some 0 -> false
-            | Some n ->
-                Printf.printf "%d worker(s) failed (gave up under faults)\n" n;
-                true
-            | None ->
-                print_endline "init never finished";
-                true
-          in
-          Printf.printf "%s under plan %S: %.6f simulated seconds, %d RPCs\n"
-            spec.Hare_workloads.Spec.name plan (Machine.seconds m)
-            (Machine.total_rpcs m);
-          let robust = Machine.robustness m in
-          Hare_stats.Table.print
-            ~headers:[ "robustness counter"; "count" ]
-            (List.map
-               (fun (k, v) -> [ k; string_of_int v ])
-               (Hare_stats.Robust.to_list robust));
-          if failed then 1 else 0)
+  let spec = find_spec name in
+  let m, status =
+    run_spec ?nprocs ~scale
+      {
+        (base_config spec cores) with
+        Config.fault_plan = plan;
+        rpc_deadline = deadline_for ~plan deadline;
+        rpc_retries = retries;
+        partial_broadcast = not strict;
+        seed = Int64.of_int seed;
+      }
+      spec
+  in
+  let failed = workers_failed ~why:" (gave up under faults)" status in
+  Printf.printf "%s under plan %S: %.6f simulated seconds, %d RPCs\n"
+    spec.Spec.name plan (Machine.seconds m) (Machine.total_rpcs m);
+  counter_table "robustness counter" "count"
+    (Hare_stats.Robust.to_list (Machine.robustness m));
+  if failed then 1 else 0
 
 let faults_cmd =
-  let name_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"BENCH" ~doc:"Benchmark name (see `hare_cli list`).")
-  in
-  let plan_arg =
-    Arg.(
-      value & opt string ""
-      & info [ "plan" ] ~docv:"SPEC"
-          ~doc:
-            "Fault plan, e.g. \
-             'drop:fs:0.05;dup:fs1:0.02;crash:1@200000+150000'. Empty \
-             runs fault-free.")
-  in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "deadline" ] ~docv:"CYCLES"
-          ~doc:
-            "First-attempt RPC deadline in cycles; 0 disables retries. \
-             Defaults to 0 without a plan, 25000 with one.")
-  in
-  let retries_arg =
-    Arg.(
-      value & opt int 12
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"RPC attempts before giving up with EIO.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"S"
-          ~doc:"Simulation seed; same seed + plan => identical faults.")
-  in
   let strict =
     flag "strict-broadcast"
       "Fail broadcasts with EIO instead of returning partial results."
@@ -496,8 +498,15 @@ let faults_cmd =
          "Run one benchmark on Hare under a deterministic fault plan and \
           print the robustness counters.")
     Term.(
-      const run_faults $ name_arg $ plan_arg $ deadline_arg $ retries_arg
-      $ seed_arg $ cores_arg $ nprocs_arg $ scale_arg $ strict)
+      const run_faults $ bench_arg ()
+      $ plan_arg
+          "Fault plan, e.g. \
+           'drop:fs:0.05;dup:fs1:0.02;crash:1@200000+150000'. Empty runs \
+           fault-free."
+      $ deadline_arg Arg.(some int) None
+      $ retries_arg 12
+      $ seed_arg ~doc:"Simulation seed; same seed + plan => identical faults." ()
+      $ cores_arg $ nprocs_arg () $ scale_arg $ strict)
 
 (* ---------- overload command -------------------------------------------- *)
 
@@ -509,225 +518,84 @@ let faults_cmd =
    fault plan (a server crash is what trips the breakers). *)
 let run_overload cores split nprocs scale period deadline retries deadline_max
     capacity budget breaker cooldown watermark seed plan check =
-  let module Machine = Hare.Machine in
-  let module Posix = Hare.Posix in
-  let module Api = Hare_api.Api in
-  let module Check = Hare_check.Check in
-  let module Sanity = Hare_stats.Sanity in
   let module O = Hare_workloads.Overload in
-  match Hare_fault.Plan.parse plan with
-  | Error msg ->
-      Printf.eprintf "bad --plan: %s\n" msg;
-      1
-  | Ok _ ->
-      let spec = O.spec in
-      let config =
-        {
-          (Driver.default_config ~ncores:cores) with
-          Config.exec_policy = spec.Hare_workloads.Spec.exec_policy;
-          placement = Config.Split split;
-          trace_enabled = true;
-          check_enabled = check;
-          fault_plan = plan;
-          rpc_deadline = deadline;
-          rpc_retries = retries;
-          rpc_deadline_max = deadline_max;
-          deadline_propagation = deadline > 0;
-          mailbox_capacity = capacity;
-          retry_budget = budget;
-          breaker_threshold = breaker;
-          breaker_cooldown = cooldown;
-          shed_watermark = watermark;
-          seed = Int64.of_int seed;
-        }
-      in
-      (* Open-loop saturation needs more synchronous workers than app
-         cores: each worker has at most one request outstanding. *)
-      let nprocs = match nprocs with Some n -> n | None -> 3 * cores in
-      O.reset ();
-      O.period := period;
-      let m = Machine.boot config in
-      let api = World.Hare_w.api m in
-      List.iter
-        (fun (prog, body) -> api.Api.register_program prog body)
-        (spec.Hare_workloads.Spec.programs api);
-      api.Api.register_program "bench-worker" (fun p args ->
-          let idx = match args with a :: _ -> int_of_string a | [] -> 0 in
-          spec.Hare_workloads.Spec.worker api p ~idx ~nprocs ~scale;
-          0);
-      let init, _ =
-        Machine.spawn_init m ~name:"overload" (fun p _ ->
-            spec.Hare_workloads.Spec.setup api p ~nprocs ~scale;
-            let pids =
-              List.init nprocs (fun i ->
-                  Posix.spawn p ~prog:"bench-worker" ~args:[ string_of_int i ])
-            in
-            List.fold_left
-              (fun acc pid -> if Posix.waitpid p pid <> 0 then acc + 1 else acc)
-              0 pids)
-      in
-      Machine.run m;
-      let failed =
-        match Machine.exit_status m init with
-        | Some 0 -> false
-        | Some n ->
-            Printf.printf "%d worker(s) failed\n" n;
-            true
-        | None ->
-            print_endline "init never finished";
-            true
-      in
-      let secs = Machine.seconds m in
-      Printf.printf
-        "overload: %d cores (%d server), %d workers, mean period %d cycles, \
-         %.6f simulated seconds\n"
-        cores split nprocs period secs;
-      Printf.printf "  sent %d | ok %d | shed %d | fast-fail %d | skipped %d\n"
-        !O.sent !O.ok !O.shed !O.fast_fail !O.skipped;
-      if secs > 0. && !O.sent > 0 then
-        Printf.printf
-          "  goodput %.0f ops/s of %.0f offered (%.1f%% completed)\n"
-          (float_of_int !O.ok /. secs)
-          (float_of_int !O.sent /. secs)
-          (100. *. float_of_int !O.ok /. float_of_int !O.sent);
-      let robust = Machine.robustness m in
-      Hare_stats.Table.print
-        ~headers:[ "robustness counter"; "count" ]
-        (List.map
-           (fun (k, v) -> [ k; string_of_int v ])
-           (Hare_stats.Robust.to_list robust));
-      (match Machine.trace m with
-      | None -> ()
-      | Some tr -> (
-          match Driver.latencies_of_trace tr with
-          | [] -> ()
-          | dists ->
-              Hare_stats.Table.print
-                ~headers:[ "class"; "n"; "p50"; "p95"; "p99"; "max" ]
-                (List.map
-                   (fun (cls, d) ->
-                     [
-                       cls;
-                       string_of_int d.Hare_stats.Latency.n;
-                       Int64.to_string d.Hare_stats.Latency.p50;
-                       Int64.to_string d.Hare_stats.Latency.p95;
-                       Int64.to_string d.Hare_stats.Latency.p99;
-                       Int64.to_string d.Hare_stats.Latency.lmax;
-                     ])
-                   dists)));
-      let violations =
-        match Machine.check m with
-        | None -> 0
-        | Some chk ->
-            let stats = Check.stats chk in
-            Hare_stats.Table.print
-              ~headers:[ "rule"; "violations" ]
-              (List.map
-                 (fun (k, v) -> [ k; string_of_int v ])
-                 (Sanity.violations stats));
-            let shown = ref 0 in
-            List.iter
-              (fun v ->
-                if !shown < 20 then begin
-                  Format.printf "%a@." Check.pp_violation v;
-                  incr shown
-                end)
-              (Check.violations chk);
-            Sanity.total_violations stats
-      in
-      if violations > 0 then begin
-        print_endline "FAIL: coherence/protocol violations under overload";
-        1
-      end
-      else if failed then 1
-      else 0
+  let spec = O.spec in
+  let config =
+    {
+      (base_config spec cores) with
+      Config.placement = Config.Split split;
+      trace_enabled = true;
+      check_enabled = check;
+      fault_plan = plan;
+      rpc_deadline = deadline;
+      rpc_retries = retries;
+      rpc_deadline_max = deadline_max;
+      deadline_propagation = deadline > 0;
+      mailbox_capacity = capacity;
+      retry_budget = budget;
+      breaker_threshold = breaker;
+      breaker_cooldown = cooldown;
+      shed_watermark = watermark;
+      seed = Int64.of_int seed;
+    }
+  in
+  (* Open-loop saturation needs more synchronous workers than app
+     cores: each worker has at most one request outstanding. *)
+  let nprocs = match nprocs with Some n -> n | None -> 3 * cores in
+  O.reset ();
+  O.period := period;
+  let m, status = run_spec ~nprocs ~scale config spec in
+  let failed = workers_failed status in
+  let secs = Machine.seconds m in
+  Printf.printf
+    "overload: %d cores (%d server), %d workers, mean period %d cycles, \
+     %.6f simulated seconds\n"
+    cores split nprocs period secs;
+  Printf.printf "  sent %d | ok %d | shed %d | fast-fail %d | skipped %d\n"
+    !O.sent !O.ok !O.shed !O.fast_fail !O.skipped;
+  if secs > 0. && !O.sent > 0 then
+    Printf.printf "  goodput %.0f ops/s of %.0f offered (%.1f%% completed)\n"
+      (float_of_int !O.ok /. secs)
+      (float_of_int !O.sent /. secs)
+      (100. *. float_of_int !O.ok /. float_of_int !O.sent);
+  counter_table "robustness counter" "count"
+    (Hare_stats.Robust.to_list (Machine.robustness m));
+  (match Machine.trace m with
+  | None -> ()
+  | Some tr -> (
+      match Driver.latencies_of_trace tr with
+      | [] -> ()
+      | dists ->
+          Hare_stats.Table.print
+            ~headers:[ "class"; "n"; "p50"; "p95"; "p99"; "max" ]
+            (List.map
+               (fun (cls, d) ->
+                 [
+                   cls;
+                   string_of_int d.Hare_stats.Latency.n;
+                   Int64.to_string d.Hare_stats.Latency.p50;
+                   Int64.to_string d.Hare_stats.Latency.p95;
+                   Int64.to_string d.Hare_stats.Latency.p99;
+                   Int64.to_string d.Hare_stats.Latency.lmax;
+                 ])
+               dists)));
+  let violations =
+    match Machine.check m with
+    | None -> 0
+    | Some chk ->
+        let stats = Check.stats chk in
+        counter_table "rule" "violations" (Sanity.violations stats);
+        list_violations (Check.violations chk);
+        Sanity.total_violations stats
+  in
+  if violations > 0 then begin
+    print_endline "FAIL: coherence/protocol violations under overload";
+    1
+  end
+  else if failed then 1
+  else 0
 
 let overload_cmd =
-  let split_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "split" ] ~docv:"S"
-          ~doc:"Cores dedicated to file servers (the bottleneck).")
-  in
-  let period_arg =
-    Arg.(
-      value & opt int 30_000
-      & info [ "period" ] ~docv:"CYCLES"
-          ~doc:
-            "Mean inter-arrival gap per worker; smaller means a hotter \
-             offered load.")
-  in
-  let deadline_arg =
-    Arg.(
-      value & opt int 60_000
-      & info [ "deadline" ] ~docv:"CYCLES"
-          ~doc:"First-attempt RPC deadline; 0 disables retries.")
-  in
-  let retries_arg =
-    Arg.(
-      value & opt int 6
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"RPC attempts before giving up with EIO.")
-  in
-  let deadline_max_arg =
-    Arg.(
-      value & opt int 240_000
-      & info [ "deadline-max" ] ~docv:"CYCLES"
-          ~doc:"Ceiling on the backed-off retry deadline.")
-  in
-  let capacity_arg =
-    Arg.(
-      value & opt int 24
-      & info [ "capacity" ] ~docv:"N"
-          ~doc:
-            "Server mailbox capacity; senders without a credit park until \
-             a slot frees (0 = unbounded).")
-  in
-  let budget_arg =
-    Arg.(
-      value & opt int 12
-      & info [ "budget" ] ~docv:"N"
-          ~doc:
-            "Per-server retry budget; an empty bucket turns timeouts into \
-             immediate give-ups (0 = unlimited).")
-  in
-  let breaker_arg =
-    Arg.(
-      value & opt int 6
-      & info [ "breaker" ] ~docv:"N"
-          ~doc:
-            "Consecutive give-ups that open a per-server circuit breaker \
-             (0 = disabled).")
-  in
-  let cooldown_arg =
-    Arg.(
-      value & opt int 150_000
-      & info [ "cooldown" ] ~docv:"CYCLES"
-          ~doc:"How long an open breaker fast-fails before probing.")
-  in
-  let watermark_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "watermark" ] ~docv:"N"
-          ~doc:
-            "Server queue depth above which background (then data) \
-             requests are shed with EBUSY (0 = disabled).")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"S"
-          ~doc:"Simulation seed; arrivals are deterministic per seed.")
-  in
-  let plan_arg =
-    Arg.(
-      value & opt string ""
-      & info [ "plan" ] ~docv:"SPEC"
-          ~doc:
-            "Fault plan, e.g. 'crash:0@2000000+500000' — a server crash \
-             under load is what trips the circuit breakers.")
-  in
-  let check = flag "check" "Also run the coherence sanitizer." in
   Cmd.v
     (Cmd.info "overload"
        ~doc:
@@ -736,10 +604,39 @@ let overload_cmd =
           open; print goodput, shed/fast-fail counts, breaker transitions \
           and per-class latency percentiles.")
     Term.(
-      const run_overload $ cores_arg $ split_arg $ nprocs_arg $ scale_arg
-      $ period_arg $ deadline_arg $ retries_arg $ deadline_max_arg
-      $ capacity_arg $ budget_arg $ breaker_arg $ cooldown_arg $ watermark_arg
-      $ seed_arg $ plan_arg $ check)
+      const run_overload $ cores_arg
+      $ split_arg ~doc:"Cores dedicated to file servers (the bottleneck)."
+          Arg.int 1
+      $ nprocs_arg ~doc:"Worker processes (default: three per core)." ()
+      $ scale_arg
+      $ int_opt "period" 30_000 "CYCLES"
+          "Mean inter-arrival gap per worker; smaller means a hotter \
+           offered load."
+      $ deadline_arg
+          ~doc:"First-attempt RPC deadline in cycles; 0 disables retries."
+          Arg.int 60_000
+      $ retries_arg 6
+      $ int_opt "deadline-max" 240_000 "CYCLES"
+          "Ceiling on the backed-off retry deadline."
+      $ int_opt "capacity" 24 "N"
+          "Server mailbox capacity; senders without a credit park until a \
+           slot frees (0 = unbounded)."
+      $ int_opt "budget" 12 "N"
+          "Per-server retry budget; an empty bucket turns timeouts into \
+           immediate give-ups (0 = unlimited)."
+      $ int_opt "breaker" 6 "N"
+          "Consecutive give-ups that open a per-server circuit breaker (0 = \
+           disabled)."
+      $ int_opt "cooldown" 150_000 "CYCLES"
+          "How long an open breaker fast-fails before probing."
+      $ int_opt "watermark" 8 "N"
+          "Server queue depth above which background (then data) requests \
+           are shed with EBUSY (0 = disabled)."
+      $ seed_arg ~doc:"Simulation seed; arrivals are deterministic per seed." ()
+      $ plan_arg
+          "Fault plan, e.g. 'crash:0@2000000+500000' — a server crash under \
+           load is what trips the circuit breakers."
+      $ check_flag)
 
 (* ---------- perf command ------------------------------------------------ *)
 
@@ -747,113 +644,43 @@ let overload_cmd =
    command line and print the Perf counters: window high-water mark,
    batch-size histogram, extent-lease hit rate (PR 2). *)
 let run_perf name cores nprocs scale window batch extent dcap =
-  match Hare_workloads.All.find name with
-  | exception Not_found ->
-      Printf.eprintf "unknown benchmark %S; try `hare_cli list`\n" name;
-      1
-  | spec ->
-      let module Machine = Hare.Machine in
-      let module Posix = Hare.Posix in
-      let module Api = Hare_api.Api in
-      let config =
-        {
-          (Driver.default_config ~ncores:cores) with
-          Config.exec_policy = spec.Hare_workloads.Spec.exec_policy;
-          rpc_window = window;
-          batch_max = batch;
-          alloc_extent = extent;
-          dircache_capacity = dcap;
-        }
-      in
-      let m = Machine.boot config in
-      let api = World.Hare_w.api m in
-      let nprocs =
-        match nprocs with
-        | Some n -> n
-        | None -> List.length (Config.app_cores config)
-      in
-      List.iter
-        (fun (prog, body) -> api.Api.register_program prog body)
-        (spec.Hare_workloads.Spec.programs api);
-      api.Api.register_program "bench-worker" (fun p args ->
-          let idx = match args with a :: _ -> int_of_string a | [] -> 0 in
-          spec.Hare_workloads.Spec.worker api p ~idx ~nprocs ~scale;
-          0);
-      let init, _ =
-        Machine.spawn_init m
-          ~name:("perf-" ^ spec.Hare_workloads.Spec.name)
-          (fun p _ ->
-            spec.Hare_workloads.Spec.setup api p ~nprocs ~scale;
-            let workers =
-              match spec.Hare_workloads.Spec.mode with
-              | Hare_workloads.Spec.Workers -> nprocs
-              | Hare_workloads.Spec.Make -> 1
-            in
-            let pids =
-              List.init workers (fun i ->
-                  Posix.spawn p ~prog:"bench-worker" ~args:[ string_of_int i ])
-            in
-            List.fold_left
-              (fun acc pid -> if Posix.waitpid p pid <> 0 then acc + 1 else acc)
-              0 pids)
-      in
-      Machine.run m;
-      ignore init;
-      let cycles =
-        Machine.seconds m
-        *. float_of_int config.Config.costs.Hare_config.Costs.cycles_per_us
-        *. 1e6
-      in
-      Printf.printf
-        "%s: window=%d batch=%d extent=%d: %.0f simulated cycles, %d RPCs\n"
-        spec.Hare_workloads.Spec.name window batch extent cycles
-        (Machine.total_rpcs m);
-      let perf = Machine.perf m in
-      Hare_stats.Table.print
-        ~headers:[ "perf counter"; "value" ]
-        (List.map
-           (fun (k, v) -> [ k; string_of_int v ])
-           (Hare_stats.Perf.to_list perf));
-      Format.printf "batch-size histogram: %a@." Hare_stats.Perf.pp_hist perf;
-      Format.printf "mean batch %.2f, lease hit rate %.2f@."
-        (Hare_stats.Perf.mean_batch perf)
-        (Hare_stats.Perf.lease_hit_rate perf);
-      let evictions =
-        Array.fold_left
-          (fun n c ->
-            n + Hare_client.Dircache.evictions (Hare_client.Client.dircache c))
-          0 (Machine.clients m)
-      in
-      Printf.printf "dircache evictions: %d\n" evictions;
-      0
+  let spec = find_spec name in
+  let config =
+    {
+      (base_config spec cores) with
+      Config.rpc_window = window;
+      batch_max = batch;
+      alloc_extent = extent;
+      dircache_capacity = dcap;
+    }
+  in
+  let m, _ = run_spec ?nprocs ~scale config spec in
+  let cycles =
+    Machine.seconds m
+    *. float_of_int config.Config.costs.Hare_config.Costs.cycles_per_us
+    *. 1e6
+  in
+  Printf.printf
+    "%s: window=%d batch=%d extent=%d: %.0f simulated cycles, %d RPCs\n"
+    spec.Spec.name window batch extent cycles (Machine.total_rpcs m);
+  let perf = Machine.perf m in
+  counter_table "perf counter" "value" (Hare_stats.Perf.to_list perf);
+  Format.printf "batch-size histogram: %a@." Hare_stats.Perf.pp_hist perf;
+  Format.printf "mean batch %.2f, lease hit rate %.2f@."
+    (Hare_stats.Perf.mean_batch perf)
+    (Hare_stats.Perf.lease_hit_rate perf);
+  let evictions =
+    Array.fold_left
+      (fun n c ->
+        n + Hare_client.Dircache.evictions (Hare_client.Client.dircache c))
+      0 (Machine.clients m)
+  in
+  Printf.printf "dircache evictions: %d\n" evictions;
+  0
 
 let perf_cmd =
-  let name_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"BENCH" ~doc:"Benchmark name (see `hare_cli list`).")
-  in
-  let window_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "window" ] ~docv:"W" ~doc:"rpc_window (1 = synchronous).")
-  in
-  let batch_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "batch" ] ~docv:"B" ~doc:"batch_max (1 = one request per wakeup).")
-  in
-  let extent_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "extent" ] ~docv:"E" ~doc:"alloc_extent (1 = block-at-a-time).")
-  in
   let dcap_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "dircache-capacity" ] ~docv:"N"
-          ~doc:"Bound the client dircache (0 = unbounded).")
+    int_opt "dircache-capacity" 0 "N" "Bound the client dircache (0 = unbounded)."
   in
   Cmd.v
     (Cmd.info "perf"
@@ -861,85 +688,37 @@ let perf_cmd =
          "Run one benchmark with the PR 2 pipelining knobs and print the \
           perf counters (window depth, batch histogram, lease hit rate).")
     Term.(
-      const run_perf $ name_arg $ cores_arg $ nprocs_arg $ scale_arg
-      $ window_arg $ batch_arg $ extent_arg $ dcap_arg)
+      const run_perf $ bench_arg () $ cores_arg $ nprocs_arg () $ scale_arg
+      $ window_arg 8 $ batch_arg 8 $ extent_arg 8 $ dcap_arg)
 
 (* ---------- trace / profile commands ------------------------------------ *)
 
 module Trace = Hare_trace.Trace
 
-(* Boot a machine with tracing on, run the whole workload (setup
-   included), and hand back the machine. Shared by `trace` (span export)
-   and `profile` (cycle attribution). *)
+(* Run the whole workload (setup included) with tracing on and hand back
+   the machine and its trace sink. Shared by `trace` (span export) and
+   `profile` (cycle attribution). *)
 let run_traced ?(metrics = 0) name cores nprocs scale cap seed =
-  match Hare_workloads.All.find name with
-  | exception Not_found ->
-      Printf.eprintf "unknown benchmark %S; try `hare_cli list`\n" name;
-      Error 1
-  | spec ->
-      let module Machine = Hare.Machine in
-      let module Posix = Hare.Posix in
-      let module Api = Hare_api.Api in
-      let config =
-        {
-          (Driver.default_config ~ncores:cores) with
-          Config.exec_policy = spec.Hare_workloads.Spec.exec_policy;
-          trace_enabled = true;
-          trace_cap = cap;
-          metrics_interval = metrics;
-          seed = Int64.of_int seed;
-        }
-      in
-      let m = Machine.boot config in
-      let api = World.Hare_w.api m in
-      let nprocs =
-        match nprocs with
-        | Some n -> n
-        | None -> List.length (Config.app_cores config)
-      in
-      List.iter
-        (fun (prog, body) -> api.Api.register_program prog body)
-        (spec.Hare_workloads.Spec.programs api);
-      api.Api.register_program "bench-worker" (fun p args ->
-          let idx = match args with a :: _ -> int_of_string a | [] -> 0 in
-          spec.Hare_workloads.Spec.worker api p ~idx ~nprocs ~scale;
-          0);
-      let init, _ =
-        Machine.spawn_init m
-          ~name:("trace-" ^ spec.Hare_workloads.Spec.name)
-          (fun p _ ->
-            spec.Hare_workloads.Spec.setup api p ~nprocs ~scale;
-            let workers =
-              match spec.Hare_workloads.Spec.mode with
-              | Hare_workloads.Spec.Workers -> nprocs
-              | Hare_workloads.Spec.Make -> 1
-            in
-            let pids =
-              List.init workers (fun i ->
-                  Posix.spawn p ~prog:"bench-worker" ~args:[ string_of_int i ])
-            in
-            List.fold_left
-              (fun acc pid -> if Posix.waitpid p pid <> 0 then acc + 1 else acc)
-              0 pids)
-      in
-      Machine.run m;
-      ignore init;
-      Ok (spec, m)
+  let spec = find_spec name in
+  let m, _ =
+    run_spec ?nprocs ~scale
+      {
+        (base_config spec cores) with
+        Config.trace_enabled = true;
+        trace_cap = cap;
+        metrics_interval = metrics;
+        seed = Int64.of_int seed;
+      }
+      spec
+  in
+  match Machine.trace m with
+  | Some tr -> (spec, m, tr)
+  | None ->
+      prerr_endline "internal error: trace sink missing";
+      exit 1
 
-let cap_arg =
-  Arg.(
-    value & opt int 65536
-    & info [ "trace-cap" ] ~docv:"N"
-        ~doc:
-          "Trace ring-buffer capacity in events; the oldest events are \
-           dropped (and counted) beyond it. 0 = no span ring: the export \
-           is a clean metadata-only artifact (never fails --strict).")
-
-let seed_arg' =
-  Arg.(
-    value & opt int 1
-    & info [ "seed" ] ~docv:"S"
-        ~doc:"Simulation seed; same seed => byte-identical trace.")
+let trace_seed_arg =
+  seed_arg ~doc:"Simulation seed; same seed => byte-identical trace." ()
 
 (* Dropped ring events mean the export is missing the oldest spans:
    shout on stderr so a truncated artifact is never mistaken for a
@@ -959,44 +738,23 @@ let dropped_verdict ~strict tr =
     else 0
   end
 
-let strict_arg =
-  flag "strict" "Exit 1 when any trace events were dropped by ring rotation."
-
 let run_trace name out cores nprocs scale cap metrics seed strict =
-  match run_traced ~metrics name cores nprocs scale cap seed with
-  | Error rc -> rc
-  | Ok (spec, m) -> (
-      match Hare.Machine.trace m with
-      | None ->
-          prerr_endline "internal error: trace sink missing";
-          1
-      | Some tr ->
-          let json = Trace.to_chrome_json tr in
-          Out_channel.with_open_bin out (fun oc ->
-              Out_channel.output_string oc json);
-          Printf.printf
-            "%s: %.6f simulated seconds; %d events on %d tracks (%d \
-             dropped) -> %s\n"
-            spec.Hare_workloads.Spec.name (Hare.Machine.seconds m)
-            (List.length (Trace.events tr))
-            (List.length (Trace.tracks tr))
-            (Trace.dropped tr) out;
-          if not (Trace.ring_enabled tr) then
-            print_endline
-              "span ring empty by request (--trace-cap 0): metadata-only \
-               export"
-          else
-            print_endline
-              "open in https://ui.perfetto.dev or chrome://tracing";
-          dropped_verdict ~strict tr)
+  let spec, m, tr = run_traced ~metrics name cores nprocs scale cap seed in
+  let json = Trace.to_chrome_json tr in
+  Out_channel.with_open_bin out (fun oc -> Out_channel.output_string oc json);
+  Printf.printf
+    "%s: %.6f simulated seconds; %d events on %d tracks (%d dropped) -> %s\n"
+    spec.Spec.name (Machine.seconds m)
+    (List.length (Trace.events tr))
+    (List.length (Trace.tracks tr))
+    (Trace.dropped tr) out;
+  if not (Trace.ring_enabled tr) then
+    print_endline
+      "span ring empty by request (--trace-cap 0): metadata-only export"
+  else print_endline "open in https://ui.perfetto.dev or chrome://tracing";
+  dropped_verdict ~strict tr
 
 let trace_cmd =
-  let name_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"BENCH" ~doc:"Benchmark name (see `hare_cli list`).")
-  in
   let out_arg =
     Arg.(
       value & opt string "trace.json"
@@ -1004,13 +762,13 @@ let trace_cmd =
           ~doc:"Where to write the Chrome trace-event JSON.")
   in
   let metrics_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "metrics" ] ~docv:"CYCLES"
-          ~doc:
-            "Also sample the telemetry gauges every $(docv) simulated \
-             cycles, mirrored as Perfetto counter tracks (metric:*) in \
-             the export (0 = off).")
+    int_opt "metrics" 0 "CYCLES"
+      "Also sample the telemetry gauges every $(docv) simulated cycles, \
+       mirrored as Perfetto counter tracks (metric:*) in the export (0 = \
+       off)."
+  in
+  let strict_arg =
+    flag "strict" "Exit 1 when any trace events were dropped by ring rotation."
   in
   Cmd.v
     (Cmd.info "trace"
@@ -1021,67 +779,51 @@ let trace_cmd =
           busy, mailbox depth, cache misses and DRAM traffic (and, with \
           $(b,--metrics), the telemetry gauges).")
     Term.(
-      const run_trace $ name_arg $ out_arg $ cores_arg $ nprocs_arg
-      $ scale_arg $ cap_arg $ metrics_arg $ seed_arg' $ strict_arg)
+      const run_trace $ bench_arg () $ out_arg $ cores_arg $ nprocs_arg ()
+      $ scale_arg $ cap_arg $ metrics_arg $ trace_seed_arg $ strict_arg)
 
 let run_profile name cores nprocs scale cap seed =
-  match run_traced name cores nprocs scale cap seed with
-  | Error rc -> rc
-  | Ok (spec, m) -> (
-      match Hare.Machine.trace m with
-      | None ->
-          prerr_endline "internal error: trace sink missing";
-          1
-      | Some tr ->
-          let rows = Trace.profile tr in
-          let grand = ref 0L in
-          let per_bucket = Array.make Trace.nbuckets 0L in
-          List.iter
-            (fun (r : Trace.row) ->
-              grand := Int64.add !grand r.Trace.r_total;
-              Array.iteri
-                (fun i c -> per_bucket.(i) <- Int64.add per_bucket.(i) c)
-                r.Trace.r_buckets)
-            rows;
-          Printf.printf "%s: %.6f simulated seconds, %Ld attributed cycles\n"
-            spec.Hare_workloads.Spec.name (Hare.Machine.seconds m) !grand;
-          Hare_stats.Table.print
-            ~headers:
-              ([ "op"; "count"; "cycles" ] @ Trace.bucket_names)
-            (List.map
-               (fun (r : Trace.row) ->
-                 [ r.Trace.r_op; string_of_int r.Trace.r_count;
-                   Int64.to_string r.Trace.r_total ]
-                 @ Array.to_list (Array.map Int64.to_string r.Trace.r_buckets))
-               rows
-            @ [
-                [ "TOTAL"; ""; Int64.to_string !grand ]
-                @ Array.to_list (Array.map Int64.to_string per_bucket);
-              ]);
-          let bucket_sum =
-            Array.fold_left Int64.add 0L per_bucket
-          in
-          Printf.printf "unattributed cycles: %Ld (of %Ld)\n"
-            (Int64.sub !grand bucket_sum)
-            !grand;
-          (* The profile is accumulated at every span close, outside the
-             ring, so ring rotation leaves it complete: report the drops,
-             but they are no reason to warn or fail here. *)
-          let d = Trace.dropped tr in
-          if d > 0 then
-            Printf.printf
-              "trace ring: %d event(s) dropped by rotation; the profile \
-               does not read the ring and is complete\n"
-              d;
-          if Int64.sub !grand bucket_sum <> 0L then 1 else 0)
+  let spec, m, tr = run_traced name cores nprocs scale cap seed in
+  let rows = Trace.profile tr in
+  let grand = ref 0L in
+  let per_bucket = Array.make Trace.nbuckets 0L in
+  List.iter
+    (fun (r : Trace.row) ->
+      grand := Int64.add !grand r.Trace.r_total;
+      Array.iteri
+        (fun i c -> per_bucket.(i) <- Int64.add per_bucket.(i) c)
+        r.Trace.r_buckets)
+    rows;
+  Printf.printf "%s: %.6f simulated seconds, %Ld attributed cycles\n"
+    spec.Spec.name (Machine.seconds m) !grand;
+  Hare_stats.Table.print
+    ~headers:([ "op"; "count"; "cycles" ] @ Trace.bucket_names)
+    (List.map
+       (fun (r : Trace.row) ->
+         [ r.Trace.r_op; string_of_int r.Trace.r_count;
+           Int64.to_string r.Trace.r_total ]
+         @ Array.to_list (Array.map Int64.to_string r.Trace.r_buckets))
+       rows
+    @ [
+        [ "TOTAL"; ""; Int64.to_string !grand ]
+        @ Array.to_list (Array.map Int64.to_string per_bucket);
+      ]);
+  let bucket_sum = Array.fold_left Int64.add 0L per_bucket in
+  Printf.printf "unattributed cycles: %Ld (of %Ld)\n"
+    (Int64.sub !grand bucket_sum)
+    !grand;
+  (* The profile is accumulated at every span close, outside the ring,
+     so ring rotation leaves it complete: report the drops, but they are
+     no reason to warn or fail here. *)
+  let d = Trace.dropped tr in
+  if d > 0 then
+    Printf.printf
+      "trace ring: %d event(s) dropped by rotation; the profile does not \
+       read the ring and is complete\n"
+      d;
+  if Int64.sub !grand bucket_sum <> 0L then 1 else 0
 
 let profile_cmd =
-  let name_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"BENCH" ~doc:"Benchmark name (see `hare_cli list`).")
-  in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
@@ -1090,8 +832,8 @@ let profile_cmd =
           cache and DRAM buckets that sum exactly to each op's elapsed \
           cycles.")
     Term.(
-      const run_profile $ name_arg $ cores_arg $ nprocs_arg $ scale_arg
-      $ cap_arg $ seed_arg')
+      const run_profile $ bench_arg () $ cores_arg $ nprocs_arg () $ scale_arg
+      $ cap_arg $ trace_seed_arg)
 
 (* ---------- metrics command --------------------------------------------- *)
 
@@ -1106,210 +848,149 @@ module Blame = Hare_metrics.Blame
    tail-latency forensics. *)
 let run_metrics name cores split nprocs scale interval retain cap blame out
     seed =
-  match Hare_workloads.All.find name with
-  | exception Not_found ->
-      Printf.eprintf "unknown benchmark %S; try `hare_cli list`\n" name;
+  let spec = find_spec name in
+  if interval <= 0 then begin
+    Printf.eprintf "--interval must be positive\n";
+    exit 1
+  end;
+  let m, _ =
+    run_spec ?nprocs ~scale
+      {
+        (placement_of split (base_config spec cores)) with
+        Config.trace_enabled = true;
+        trace_cap = cap;
+        trace_retain = retain;
+        metrics_interval = interval;
+        seed = Int64.of_int seed;
+      }
+      spec
+  in
+  match Machine.metrics m with
+  | None ->
+      prerr_endline "internal error: metrics registry missing";
       1
-  | spec ->
-      let module Machine = Hare.Machine in
-      let module Posix = Hare.Posix in
-      let module Api = Hare_api.Api in
-      if interval <= 0 then begin
-        Printf.eprintf "--interval must be positive\n";
-        exit 1
-      end;
-      let config =
-        let c = Driver.default_config ~ncores:cores in
-        let c =
-          match split with
-          | Some s -> { c with Config.placement = Config.Split s }
-          | None -> c
-        in
-        {
-          c with
-          Config.exec_policy = spec.Hare_workloads.Spec.exec_policy;
-          trace_enabled = true;
-          trace_cap = cap;
-          trace_retain = retain;
-          metrics_interval = interval;
-          seed = Int64.of_int seed;
-        }
-      in
-      let m = Machine.boot config in
-      let api = World.Hare_w.api m in
-      let nprocs =
-        match nprocs with
-        | Some n -> n
-        | None -> List.length (Config.app_cores config)
-      in
-      List.iter
-        (fun (prog, body) -> api.Api.register_program prog body)
-        (spec.Hare_workloads.Spec.programs api);
-      api.Api.register_program "bench-worker" (fun p args ->
-          let idx = match args with a :: _ -> int_of_string a | [] -> 0 in
-          spec.Hare_workloads.Spec.worker api p ~idx ~nprocs ~scale;
-          0);
-      let init, _ =
-        Machine.spawn_init m
-          ~name:("metrics-" ^ spec.Hare_workloads.Spec.name)
-          (fun p _ ->
-            spec.Hare_workloads.Spec.setup api p ~nprocs ~scale;
-            let workers =
-              match spec.Hare_workloads.Spec.mode with
-              | Hare_workloads.Spec.Workers -> nprocs
-              | Hare_workloads.Spec.Make -> 1
-            in
-            let pids =
-              List.init workers (fun i ->
-                  Posix.spawn p ~prog:"bench-worker" ~args:[ string_of_int i ])
-            in
-            List.fold_left
-              (fun acc pid -> if Posix.waitpid p pid <> 0 then acc + 1 else acc)
-              0 pids)
-      in
-      Machine.run m;
-      ignore init;
-      match Machine.metrics m with
-      | None ->
-          prerr_endline "internal error: metrics registry missing";
-          1
-      | Some mt ->
-          Printf.printf
-            "%s: %.6f simulated seconds; %d gauges sampled every %d cycles \
-             (%d samples, %d overwritten)\n"
-            spec.Hare_workloads.Spec.name (Machine.seconds m)
-            (Metrics.ngauges mt) (Metrics.interval mt) (Metrics.samples mt)
-            (Metrics.dropped mt);
-          Hare_stats.Table.print
-            ~headers:[ "gauge"; "n"; "min"; "max"; "mean"; "last" ]
-            (List.map
-               (fun (g : Metrics.summary) ->
-                 [
-                   g.Metrics.s_name;
-                   string_of_int g.Metrics.s_n;
-                   string_of_int g.Metrics.s_min;
-                   string_of_int g.Metrics.s_max;
-                   Printf.sprintf "%.1f" g.Metrics.s_mean;
-                   string_of_int g.Metrics.s_last;
-                 ])
-               (Metrics.summaries mt));
-          (match Machine.trace m with
-          | Some tr -> (
-              let spans =
-                List.map
-                  (fun (_, t0, dur) -> (Int64.to_int t0, Int64.to_int dur))
-                  (Trace.root_spans tr)
-              in
-              match Knee.detect ~window:(8 * interval) spans with
-              | Some k ->
-                  Printf.printf
-                    "knee: p99 left the flat regime at cycle %d (window %d: \
-                     %Ld -> %Ld cycles over %d judged windows)\n"
-                    k.Knee.k_at k.Knee.k_window k.Knee.k_before k.Knee.k_after
-                    k.Knee.k_windows
-              | None -> print_endline "knee: none (p99 stayed flat)")
-          | None -> ());
-          (if blame then
-             match Machine.trace m with
-             | None -> ()
-             | Some tr -> (
-                 match Blame.of_trace tr with
-                 | [] ->
-                     print_endline
-                       "blame: nothing retained (is --retain positive and \
-                        the run long enough?)"
-                 | reports ->
-                     print_newline ();
-                     Hare_stats.Table.print
-                       ~headers:
-                         [ "class"; "n"; "p99"; "bucket"; "srv";
-                           "qdepth mean/max"; "worst op"; "worst cycles" ]
-                       (List.map
-                          (fun (b : Blame.t) ->
-                            [
-                              b.Blame.b_class;
-                              string_of_int b.Blame.b_n;
-                              Int64.to_string b.Blame.b_p99;
-                              Printf.sprintf "%s (%.0f%%)" b.Blame.b_bucket
-                                (100. *. b.Blame.b_bucket_share);
-                              (if b.Blame.b_srv < 0 then "-"
-                               else
-                                 Printf.sprintf "fs%d (%.0f%%)" b.Blame.b_srv
-                                   (100. *. b.Blame.b_srv_share));
-                              (if b.Blame.b_qdepth_max < 0 then "-"
-                               else
-                                 Printf.sprintf "%.1f/%d"
-                                   b.Blame.b_qdepth_mean b.Blame.b_qdepth_max);
-                              b.Blame.b_worst_op;
-                              string_of_int b.Blame.b_worst_dur;
-                            ])
-                          reports);
-                     (* Critical path of the slowest retained op overall:
-                        the exact bucket decomposition of its cycles. *)
-                     match Trace.retained tr with
-                     | [] -> ()
-                     | worst :: _ ->
-                         Printf.printf
-                           "\ncritical path of slowest op (%s, %d cycles):\n"
-                           worst.Trace.rt_op worst.Trace.rt_dur;
-                         List.iter
-                           (fun (bucket, cy) ->
-                             Printf.printf "  %-10s %10d  (%.0f%%)\n" bucket cy
-                               (100. *. float_of_int cy
-                               /. float_of_int (max 1 worst.Trace.rt_dur)))
-                           (Blame.critical_path worst)));
-          (match out with
-          | None -> ()
-          | Some file ->
-              (* Raw time series as JSON: one [stamp, value] pair array
-                 per gauge, on the sampling grid. *)
-              let buf = Buffer.create 4096 in
-              let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-              add "{\n";
-              add "  \"schema\": \"hare-metrics/1\",\n";
-              add "  \"interval\": %d,\n" (Metrics.interval mt);
-              add "  \"samples\": %d,\n" (Metrics.samples mt);
-              add "  \"dropped\": %d,\n" (Metrics.dropped mt);
-              add "  \"series\": {\n";
-              let series = Metrics.series mt in
+  | Some mt ->
+      Printf.printf
+        "%s: %.6f simulated seconds; %d gauges sampled every %d cycles (%d \
+         samples, %d overwritten)\n"
+        spec.Spec.name (Machine.seconds m) (Metrics.ngauges mt)
+        (Metrics.interval mt) (Metrics.samples mt) (Metrics.dropped mt);
+      Hare_stats.Table.print
+        ~headers:[ "gauge"; "n"; "min"; "max"; "mean"; "last" ]
+        (List.map
+           (fun (g : Metrics.summary) ->
+             [
+               g.Metrics.s_name;
+               string_of_int g.Metrics.s_n;
+               string_of_int g.Metrics.s_min;
+               string_of_int g.Metrics.s_max;
+               Printf.sprintf "%.1f" g.Metrics.s_mean;
+               string_of_int g.Metrics.s_last;
+             ])
+           (Metrics.summaries mt));
+      (match Machine.trace m with
+      | Some tr -> (
+          let spans =
+            List.map
+              (fun (_, t0, dur) -> (Int64.to_int t0, Int64.to_int dur))
+              (Trace.root_spans tr)
+          in
+          match Knee.detect ~window:(8 * interval) spans with
+          | Some k ->
+              Printf.printf
+                "knee: p99 left the flat regime at cycle %d (window %d: %Ld \
+                 -> %Ld cycles over %d judged windows)\n"
+                k.Knee.k_at k.Knee.k_window k.Knee.k_before k.Knee.k_after
+                k.Knee.k_windows
+          | None -> print_endline "knee: none (p99 stayed flat)")
+      | None -> ());
+      (if blame then
+         match Machine.trace m with
+         | None -> ()
+         | Some tr -> (
+             match Blame.of_trace tr with
+             | [] ->
+                 print_endline
+                   "blame: nothing retained (is --retain positive and the \
+                    run long enough?)"
+             | reports ->
+                 print_newline ();
+                 Hare_stats.Table.print
+                   ~headers:
+                     [ "class"; "n"; "p99"; "bucket"; "srv";
+                       "qdepth mean/max"; "worst op"; "worst cycles" ]
+                   (List.map
+                      (fun (b : Blame.t) ->
+                        [
+                          b.Blame.b_class;
+                          string_of_int b.Blame.b_n;
+                          Int64.to_string b.Blame.b_p99;
+                          Printf.sprintf "%s (%.0f%%)" b.Blame.b_bucket
+                            (100. *. b.Blame.b_bucket_share);
+                          (if b.Blame.b_srv < 0 then "-"
+                           else
+                             Printf.sprintf "fs%d (%.0f%%)" b.Blame.b_srv
+                               (100. *. b.Blame.b_srv_share));
+                          (if b.Blame.b_qdepth_max < 0 then "-"
+                           else
+                             Printf.sprintf "%.1f/%d" b.Blame.b_qdepth_mean
+                               b.Blame.b_qdepth_max);
+                          b.Blame.b_worst_op;
+                          string_of_int b.Blame.b_worst_dur;
+                        ])
+                      reports);
+                 (* Critical path of the slowest retained op overall: the
+                    exact bucket decomposition of its cycles. *)
+                 match Trace.retained tr with
+                 | [] -> ()
+                 | worst :: _ ->
+                     Printf.printf
+                       "\ncritical path of slowest op (%s, %d cycles):\n"
+                       worst.Trace.rt_op worst.Trace.rt_dur;
+                     List.iter
+                       (fun (bucket, cy) ->
+                         Printf.printf "  %-10s %10d  (%.0f%%)\n" bucket cy
+                           (100. *. float_of_int cy
+                           /. float_of_int (max 1 worst.Trace.rt_dur)))
+                       (Blame.critical_path worst)));
+      (match out with
+      | None -> ()
+      | Some file ->
+          (* Raw time series as JSON: one [stamp, value] pair array per
+             gauge, on the sampling grid. *)
+          let buf = Buffer.create 4096 in
+          let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+          add "{\n";
+          add "  \"schema\": \"hare-metrics/1\",\n";
+          add "  \"interval\": %d,\n" (Metrics.interval mt);
+          add "  \"samples\": %d,\n" (Metrics.samples mt);
+          add "  \"dropped\": %d,\n" (Metrics.dropped mt);
+          add "  \"series\": {\n";
+          let series = Metrics.series mt in
+          List.iteri
+            (fun i (gname, points) ->
+              add "    \"%s\": [ " gname;
               List.iteri
-                (fun i (gname, points) ->
-                  add "    \"%s\": [ " gname;
-                  List.iteri
-                    (fun j (ts, v) ->
-                      add "%s[%d, %d]" (if j > 0 then ", " else "") ts v)
-                    points;
-                  add " ]%s\n"
-                    (if i < List.length series - 1 then "," else ""))
-                series;
-              add "  }\n";
-              add "}\n";
-              Out_channel.with_open_bin file (fun oc ->
-                  Out_channel.output_string oc (Buffer.contents buf));
-              Printf.printf "wrote %s\n" file);
-          0
+                (fun j (ts, v) ->
+                  add "%s[%d, %d]" (if j > 0 then ", " else "") ts v)
+                points;
+              add " ]%s\n" (if i < List.length series - 1 then "," else ""))
+            series;
+          add "  }\n";
+          add "}\n";
+          Out_channel.with_open_bin file (fun oc ->
+              Out_channel.output_string oc (Buffer.contents buf));
+          Printf.printf "wrote %s\n" file);
+      0
 
 let metrics_cmd =
-  let name_arg =
-    Arg.(
-      value
-      & pos 0 string "overload"
-      & info [] ~docv:"BENCH"
-          ~doc:"Benchmark name (see `hare_cli list`; default: overload).")
-  in
   let interval_arg =
-    Arg.(
-      value & opt int 20_000
-      & info [ "interval" ] ~docv:"CYCLES"
-          ~doc:"Sampling grid in simulated cycles.")
+    int_opt "interval" 20_000 "CYCLES" "Sampling grid in simulated cycles."
   in
   let retain_arg =
-    Arg.(
-      value & opt int 32
-      & info [ "retain" ] ~docv:"K"
-          ~doc:
-            "Keep the complete span trees of the $(docv) slowest ops per \
-             latency class for the blame report (0 = off).")
+    int_opt "retain" 32 "K"
+      "Keep the complete span trees of the $(docv) slowest ops per latency \
+       class for the blame report (0 = off)."
   in
   let blame_flag =
     flag "blame"
@@ -1335,9 +1016,13 @@ let metrics_cmd =
           trees. Sampling is zero-perturbation: the simulated clock is \
           bit-identical with telemetry on or off.")
     Term.(
-      const run_metrics $ name_arg $ cores_arg $ split_arg $ nprocs_arg
-      $ scale_arg $ interval_arg $ retain_arg $ cap_arg $ blame_flag $ out_arg
-      $ seed_arg')
+      const run_metrics
+      $ bench_arg ~default:"overload"
+          ~doc:"Benchmark name (see `hare_cli list`; default: overload)." ()
+      $ cores_arg
+      $ split_arg Arg.(some int) None
+      $ nprocs_arg () $ scale_arg $ interval_arg $ retain_arg $ cap_arg
+      $ blame_flag $ out_arg $ trace_seed_arg)
 
 (* ---------- check command ----------------------------------------------- *)
 
@@ -1349,206 +1034,65 @@ let metrics_cmd =
    itself perturbed the simulation (a sanitizer bug). *)
 let run_check name plan deadline retries seed cores nprocs scale window batch
     extent verbose =
-  let module Machine = Hare.Machine in
-  let module Posix = Hare.Posix in
-  let module Api = Hare_api.Api in
-  let module Check = Hare_check.Check in
-  let module Sanity = Hare_stats.Sanity in
   let specs =
-    if name = "all" then Some Hare_workloads.All.specs
-    else
-      match Hare_workloads.All.find name with
-      | spec -> Some [ spec ]
-      | exception Not_found -> None
+    if name = "all" then Hare_workloads.All.specs else [ find_spec name ]
   in
-  match specs with
-  | None ->
-      Printf.eprintf "unknown benchmark %S; try `hare_cli list`\n" name;
-      1
-  | Some specs -> (
-      match Hare_fault.Plan.parse plan with
-      | Error msg ->
-          Printf.eprintf "bad --plan: %s\n" msg;
-          1
-      | Ok _ ->
-          let deadline =
-            match deadline with
-            | Some d -> d
-            | None -> if plan = "" then 0 else 25_000
-          in
-          if plan <> "" && deadline <= 0 then (
-            Printf.eprintf
-              "a fault plan needs --deadline > 0: without timeouts clients \
-               never retry a dropped message\n";
-            exit 1);
-          let run_one (spec : Hare_workloads.Spec.t) ~enabled =
-            let config =
-              {
-                (Driver.default_config ~ncores:cores) with
-                Config.exec_policy = spec.Hare_workloads.Spec.exec_policy;
-                fault_plan = plan;
-                rpc_deadline = deadline;
-                rpc_retries = retries;
-                rpc_window = window;
-                batch_max = batch;
-                alloc_extent = extent;
-                check_enabled = enabled;
-                seed = Int64.of_int seed;
-              }
-            in
-            let m = Machine.boot config in
-            let api = World.Hare_w.api m in
-            let nprocs =
-              match nprocs with
-              | Some n -> n
-              | None -> List.length (Config.app_cores config)
-            in
-            List.iter
-              (fun (prog, body) -> api.Api.register_program prog body)
-              (spec.Hare_workloads.Spec.programs api);
-            api.Api.register_program "bench-worker" (fun p args ->
-                let idx = match args with a :: _ -> int_of_string a | [] -> 0 in
-                spec.Hare_workloads.Spec.worker api p ~idx ~nprocs ~scale;
-                0);
-            let init, _ =
-              Machine.spawn_init m
-                ~name:("check-" ^ spec.Hare_workloads.Spec.name)
-                (fun p _ ->
-                  spec.Hare_workloads.Spec.setup api p ~nprocs ~scale;
-                  let workers =
-                    match spec.Hare_workloads.Spec.mode with
-                    | Hare_workloads.Spec.Workers -> nprocs
-                    | Hare_workloads.Spec.Make -> 1
-                  in
-                  let pids =
-                    List.init workers (fun i ->
-                        Posix.spawn p ~prog:"bench-worker"
-                          ~args:[ string_of_int i ])
-                  in
-                  List.fold_left
-                    (fun acc pid ->
-                      if Posix.waitpid p pid <> 0 then acc + 1 else acc)
-                    0 pids)
-            in
-            Machine.run m;
-            (m, Machine.exit_status m init)
-          in
-          let total = Sanity.create () in
-          let perturbed = ref false in
-          let recorded = ref [] in
-          List.iter
-            (fun (spec : Hare_workloads.Spec.t) ->
-              let wname = spec.Hare_workloads.Spec.name in
-              let off, _ = run_one spec ~enabled:false in
-              let on, status = run_one spec ~enabled:true in
-              (match status with
-              | Some 0 -> ()
-              | Some n -> Printf.printf "%s: %d worker(s) failed\n" wname n
-              | None -> Printf.printf "%s: init never finished\n" wname);
-              if Machine.now off <> Machine.now on then begin
-                perturbed := true;
-                Printf.printf
-                  "%s: PERTURBED: %Ld cycles unchecked vs %Ld checked\n" wname
-                  (Machine.now off) (Machine.now on)
-              end
-              else
-                Printf.printf
-                  "%s: %.6f simulated seconds, clock identical with checking \
-                   on\n"
-                  wname (Machine.seconds on);
-              match Machine.check on with
-              | None -> ()
-              | Some chk ->
-                  Sanity.merge ~into:total (Check.stats chk);
-                  recorded := !recorded @ Check.violations chk)
-            specs;
-          Hare_stats.Table.print
-            ~headers:[ "rule"; "violations" ]
-            (List.map
-               (fun (k, v) -> [ k; string_of_int v ])
-               (Sanity.violations total));
-          if verbose then
-            Hare_stats.Table.print
-              ~headers:[ "checker counter"; "value" ]
-              (List.map
-                 (fun (k, v) -> [ k; string_of_int v ])
-                 (Sanity.to_list total));
-          let shown = ref 0 in
-          List.iter
-            (fun v ->
-              if !shown < 20 then begin
-                Format.printf "%a@." Check.pp_violation v;
-                incr shown
-              end)
-            !recorded;
-          if List.length !recorded > 20 then
-            Printf.printf "... and %d more\n" (List.length !recorded - 20);
-          if !perturbed then begin
-            print_endline "FAIL: the sanitizer perturbed the simulation";
-            2
-          end
-          else if Sanity.total_violations total > 0 then begin
-            print_endline "FAIL: coherence/protocol violations detected";
-            1
-          end
-          else begin
-            print_endline "OK: no violations, zero perturbation";
-            0
-          end)
+  let run_one spec ~enabled =
+    run_spec ?nprocs ~scale
+      {
+        (base_config spec cores) with
+        Config.fault_plan = plan;
+        rpc_deadline = deadline_for ~plan deadline;
+        rpc_retries = retries;
+        rpc_window = window;
+        batch_max = batch;
+        alloc_extent = extent;
+        check_enabled = enabled;
+        seed = Int64.of_int seed;
+      }
+      spec
+  in
+  let total = Sanity.create () in
+  let perturbed = ref false in
+  let recorded = ref [] in
+  List.iter
+    (fun (spec : Spec.t) ->
+      let wname = spec.Spec.name in
+      let off, _ = run_one spec ~enabled:false in
+      let on, status = run_one spec ~enabled:true in
+      ignore (workers_failed ~prefix:(wname ^ ": ") status);
+      if Machine.now off <> Machine.now on then begin
+        perturbed := true;
+        Printf.printf "%s: PERTURBED: %Ld cycles unchecked vs %Ld checked\n"
+          wname (Machine.now off) (Machine.now on)
+      end
+      else
+        Printf.printf
+          "%s: %.6f simulated seconds, clock identical with checking on\n"
+          wname (Machine.seconds on);
+      match Machine.check on with
+      | None -> ()
+      | Some chk ->
+          Sanity.merge ~into:total (Check.stats chk);
+          recorded := !recorded @ Check.violations chk)
+    specs;
+  counter_table "rule" "violations" (Sanity.violations total);
+  if verbose then counter_table "checker counter" "value" (Sanity.to_list total);
+  list_violations !recorded;
+  if !perturbed then begin
+    print_endline "FAIL: the sanitizer perturbed the simulation";
+    2
+  end
+  else if Sanity.total_violations total > 0 then begin
+    print_endline "FAIL: coherence/protocol violations detected";
+    1
+  end
+  else begin
+    print_endline "OK: no violations, zero perturbation";
+    0
+  end
 
 let check_cmd =
-  let name_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"BENCH"
-          ~doc:"Benchmark name (see `hare_cli list`), or 'all'.")
-  in
-  let plan_arg =
-    Arg.(
-      value & opt string ""
-      & info [ "plan" ] ~docv:"SPEC"
-          ~doc:
-            "Fault plan to check under, e.g. \
-             'drop:fs:0.05;crash:1@200000+150000'. Empty runs fault-free.")
-  in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "deadline" ] ~docv:"CYCLES"
-          ~doc:
-            "First-attempt RPC deadline in cycles; defaults to 0 without a \
-             plan, 25000 with one.")
-  in
-  let retries_arg =
-    Arg.(
-      value & opt int 12
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"RPC attempts before giving up with EIO.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"S"
-          ~doc:"Simulation seed (both runs of each pair share it).")
-  in
-  let window_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "window" ] ~docv:"W" ~doc:"rpc_window (1 = synchronous).")
-  in
-  let batch_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "batch" ] ~docv:"B"
-          ~doc:"batch_max (1 = one request per wakeup).")
-  in
-  let extent_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "extent" ] ~docv:"E" ~doc:"alloc_extent (1 = block-at-a-time).")
-  in
   let verbose = flag "verbose" "Also print the checker's event counters." in
   Cmd.v
     (Cmd.info "check"
@@ -1559,11 +1103,16 @@ let check_cmd =
           checker is zero-perturbation. Exit 0: clean; 1: violations; 2: \
           the checker perturbed the simulation.")
     Term.(
-      const run_check $ name_arg $ plan_arg $ deadline_arg $ retries_arg
-      $ seed_arg $ cores_arg $ nprocs_arg $ scale_arg $ window_arg $ batch_arg
-      $ extent_arg $ verbose)
-
-(* ---------- list command ------------------------------------------------ *)
+      const run_check
+      $ bench_arg ~doc:"Benchmark name (see `hare_cli list`), or 'all'." ()
+      $ plan_arg
+          "Fault plan to check under, e.g. \
+           'drop:fs:0.05;crash:1@200000+150000'. Empty runs fault-free."
+      $ deadline_arg Arg.(some int) None
+      $ retries_arg 12
+      $ seed_arg ~doc:"Simulation seed (both runs of each pair share it)." ()
+      $ cores_arg $ nprocs_arg () $ scale_arg $ window_arg 1 $ batch_arg 1
+      $ extent_arg 1 $ verbose)
 
 (* ---------- shard command ----------------------------------------------- *)
 
@@ -1571,158 +1120,90 @@ let check_cmd =
    physical server hosts which logical homes (and how much state), plus
    the migration counters a membership plan produced. *)
 let run_shard name cores servers vnodes plan nprocs scale seed check =
-  let module Machine = Hare.Machine in
-  let module Posix = Hare.Posix in
-  let module Api = Hare_api.Api in
   let module Place = Hare_place.Place in
   let module Server = Hare_server.Server in
-  match Hare_workloads.All.find name with
-  | exception Not_found ->
-      Printf.eprintf "unknown benchmark %S; try `hare_cli list`\n" name;
-      1
-  | spec -> (
-      let config =
-        {
-          (Driver.default_config ~ncores:cores) with
-          Config.placement = Config.Sharded { servers; vnodes };
-          shard_plan = plan;
-          exec_policy = spec.Hare_workloads.Spec.exec_policy;
-          check_enabled = check;
-          seed = Int64.of_int seed;
-        }
-      in
-      match Config.validate config with
-      | Error msg ->
-          Printf.eprintf "bad configuration: %s\n" msg;
-          1
-      | Ok () ->
-          let m = Machine.boot config in
-          let api = World.Hare_w.api m in
-          let nprocs =
-            match nprocs with
-            | Some n -> n
-            | None -> List.length (Config.app_cores config)
-          in
-          List.iter
-            (fun (prog, body) -> api.Api.register_program prog body)
-            (spec.Hare_workloads.Spec.programs api);
-          api.Api.register_program "bench-worker" (fun p args ->
-              let idx = match args with a :: _ -> int_of_string a | [] -> 0 in
-              spec.Hare_workloads.Spec.worker api p ~idx ~nprocs ~scale;
-              0);
-          let init, _ =
-            Machine.spawn_init m
-              ~name:("shard-" ^ spec.Hare_workloads.Spec.name)
-              (fun p _ ->
-                spec.Hare_workloads.Spec.setup api p ~nprocs ~scale;
-                let workers =
-                  match spec.Hare_workloads.Spec.mode with
-                  | Hare_workloads.Spec.Workers -> nprocs
-                  | Hare_workloads.Spec.Make -> 1
-                in
-                let pids =
-                  List.init workers (fun i ->
-                      Posix.spawn p ~prog:"bench-worker"
-                        ~args:[ string_of_int i ])
-                in
-                List.fold_left
-                  (fun acc pid ->
-                    if Posix.waitpid p pid <> 0 then acc + 1 else acc)
-                  0 pids)
-          in
-          Machine.run m;
-          (match Machine.exit_status m init with
-          | Some 0 -> ()
-          | Some n -> Printf.printf "%d worker(s) failed\n" n
-          | None -> print_endline "init never finished");
-          let place =
-            match Machine.place m with
-            | Some p -> p
-            | None -> assert false
-          in
-          Printf.printf
-            "ring: %d logical homes x %d vnodes over %d physical servers \
-             (epoch %d)\n"
-            (Place.nhomes place) (Place.vnodes place) (Place.nphys place)
-            (Place.epoch place);
-          Printf.printf
-            "%.6f simulated seconds; load imbalance (max/mean ops) %.2f\n\n"
-            (Machine.seconds m) (Machine.imbalance m);
-          let loads = Machine.server_loads m in
-          Hare_stats.Table.print
-            ~headers:
-              [ "srv"; "state"; "homes"; "inodes"; "dentries"; "ops";
-                "peak-q"; "in"; "out"; "bounced" ]
-            (Array.to_list (Machine.servers m)
-            |> List.map (fun s ->
-                   let sid = Server.sid s in
-                   let ops, peak =
-                     match List.assoc_opt sid
-                             (List.map (fun (i, o, q) -> (i, (o, q))) loads)
-                     with
-                     | Some (o, q) -> (o, q)
-                     | None -> (0, 0)
-                   in
-                   [
-                     Printf.sprintf "fs%d" sid;
-                     (if Place.active place sid then "active" else "retired");
-                     String.concat ","
-                       (List.map string_of_int (Server.hosted_homes s));
-                     string_of_int (Server.inode_count s);
-                     string_of_int (Server.dentry_count s);
-                     string_of_int ops;
-                     string_of_int peak;
-                     string_of_int (Server.homes_migrated_in s);
-                     string_of_int (Server.homes_migrated_out s);
-                     string_of_int (Server.moved_rejects s);
-                   ]));
-          print_newline ();
-          (* Vnode layout: each home's current route and its rendezvous
-             weight there (the argmax over the active servers' points). *)
-          Hare_stats.Table.print
-            ~headers:[ "home"; "srv"; "weight" ]
-            (List.init (Place.nhomes place) (fun h ->
-                 let srv = Place.phys place h in
-                 [
-                   string_of_int h;
-                   Printf.sprintf "fs%d" srv;
-                   Printf.sprintf "%08x"
-                     (Place.weight place ~home:h ~srv land 0xffffffff);
-                 ]));
-          Printf.printf
-            "\nmigrations: %d moved, %d aborted; clients chased %d EMOVED \
-             bounce(s)\n"
-            (Place.migrations place) (Place.aborted place)
-            (Machine.total_moved_retries m);
-          (match Machine.check m with
-          | None -> 0
-          | Some chk ->
-              let total =
-                Hare_stats.Sanity.total_violations
-                  (Hare_check.Check.stats chk)
-              in
-              if total > 0 then begin
-                Printf.printf "sanitizer: %d violation(s)\n" total;
-                1
-              end
-              else begin
-                print_endline "sanitizer: clean";
-                0
-              end))
+  let spec = find_spec name in
+  let m, status =
+    run_spec ?nprocs ~scale
+      {
+        (base_config spec cores) with
+        Config.placement = Config.Sharded { servers; vnodes };
+        shard_plan = plan;
+        check_enabled = check;
+        seed = Int64.of_int seed;
+      }
+      spec
+  in
+  ignore (workers_failed status);
+  let place =
+    match Machine.place m with Some p -> p | None -> assert false
+  in
+  Printf.printf
+    "ring: %d logical homes x %d vnodes over %d physical servers (epoch %d)\n"
+    (Place.nhomes place) (Place.vnodes place) (Place.nphys place)
+    (Place.epoch place);
+  Printf.printf "%.6f simulated seconds; load imbalance (max/mean ops) %.2f\n\n"
+    (Machine.seconds m) (Machine.imbalance m);
+  let loads = Machine.server_loads m in
+  Hare_stats.Table.print
+    ~headers:
+      [ "srv"; "state"; "homes"; "inodes"; "dentries"; "ops"; "peak-q"; "in";
+        "out"; "bounced" ]
+    (Array.to_list (Machine.servers m)
+    |> List.map (fun s ->
+           let sid = Server.sid s in
+           let ops, peak =
+             match
+               List.assoc_opt sid (List.map (fun (i, o, q) -> (i, (o, q))) loads)
+             with
+             | Some (o, q) -> (o, q)
+             | None -> (0, 0)
+           in
+           [
+             Printf.sprintf "fs%d" sid;
+             (if Place.active place sid then "active" else "retired");
+             String.concat "," (List.map string_of_int (Server.hosted_homes s));
+             string_of_int (Server.inode_count s);
+             string_of_int (Server.dentry_count s);
+             string_of_int ops;
+             string_of_int peak;
+             string_of_int (Server.homes_migrated_in s);
+             string_of_int (Server.homes_migrated_out s);
+             string_of_int (Server.moved_rejects s);
+           ]));
+  print_newline ();
+  (* Vnode layout: each home's current route and its rendezvous weight
+     there (the argmax over the active servers' points). *)
+  Hare_stats.Table.print
+    ~headers:[ "home"; "srv"; "weight" ]
+    (List.init (Place.nhomes place) (fun h ->
+         let srv = Place.phys place h in
+         [
+           string_of_int h;
+           Printf.sprintf "fs%d" srv;
+           Printf.sprintf "%08x"
+             (Place.weight place ~home:h ~srv land 0xffffffff);
+         ]));
+  Printf.printf
+    "\nmigrations: %d moved, %d aborted; clients chased %d EMOVED bounce(s)\n"
+    (Place.migrations place) (Place.aborted place)
+    (Machine.total_moved_retries m);
+  match Machine.check m with
+  | None -> 0
+  | Some chk ->
+      let total = Sanity.total_violations (Check.stats chk) in
+      if total > 0 then begin
+        Printf.printf "sanitizer: %d violation(s)\n" total;
+        1
+      end
+      else begin
+        print_endline "sanitizer: clean";
+        0
+      end
 
 let shard_cmd =
-  let name_arg =
-    Arg.(
-      value
-      & pos 0 string "creates"
-      & info [] ~docv:"BENCH" ~doc:"Benchmark to drive the ring (default: creates).")
-  in
-  let servers_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "servers" ] ~docv:"S" ~doc:"Logical file-server homes.")
-  in
-  let plan_arg =
+  let servers_arg = int_opt "servers" 4 "S" "Logical file-server homes." in
+  let ring_plan_arg =
     Arg.(
       value & opt string ""
       & info [ "plan" ] ~docv:"PLAN"
@@ -1730,10 +1211,6 @@ let shard_cmd =
             "Ring-membership plan: 'add@CYCLES' activates a spare physical \
              server, 'remove:SID@CYCLES' drains one; ';'-separated.")
   in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Simulation seed.")
-  in
-  let check_flag = flag "check" "Run with the coherence sanitizer attached." in
   Cmd.v
     (Cmd.info "shard"
        ~doc:
@@ -1743,14 +1220,49 @@ let shard_cmd =
           $(b,--plan), servers are added/removed mid-run and whole homes \
           migrate live between physical servers.")
     Term.(
-      const run_shard $ name_arg $ cores_arg $ servers_arg $ vnodes_arg
-      $ plan_arg $ nprocs_arg $ scale_arg $ seed_arg $ check_flag)
+      const run_shard
+      $ bench_arg ~default:"creates"
+          ~doc:"Benchmark to drive the ring (default: creates)." ()
+      $ cores_arg $ servers_arg $ vnodes_arg $ ring_plan_arg $ nprocs_arg ()
+      $ scale_arg $ seed_arg ~docv:"N" () $ check_flag)
 
 (* ---------- explore: systematic schedule exploration --------------------- *)
 
 let run_explore list_only scenario strategy seed budget mutate replay =
   let module R = Hare_explore.Runner in
   let module S = Hare_explore.Scenario in
+  let bad_args msg =
+    prerr_endline msg;
+    2
+  in
+  let strategy =
+    match replay with
+    | Some csv ->
+        let fields =
+          String.split_on_char ',' csv |> List.filter (fun s -> s <> "")
+        in
+        let ords =
+          List.filter_map
+            (fun s ->
+              match int_of_string_opt s with
+              | Some n when n >= 0 -> Some n
+              | _ -> None)
+            fields
+        in
+        if List.length ords = List.length fields then Ok (R.Replay ords)
+        else
+          Error
+            (Printf.sprintf
+               "bad --replay %S (comma-separated choice ordinals, each >= 0)"
+               csv)
+    | None -> (
+        match strategy with
+        | "dpor" -> Ok R.Dpor
+        | "pct" -> Ok (R.Pct seed)
+        | "rand" -> Ok (R.Rand seed)
+        | "det" -> Ok R.Deterministic
+        | s -> Error ("unknown strategy " ^ s ^ " (dpor, pct, rand, det)"))
+  in
   if list_only then begin
     print_endline "scenarios:";
     List.iter
@@ -1761,61 +1273,40 @@ let run_explore list_only scenario strategy seed budget mutate replay =
     0
   end
   else
-    match S.find scenario with
+    match (S.find scenario, mutate, strategy) with
     | exception Not_found ->
-        Printf.eprintf
-          "unknown scenario %S (hare_cli explore --list shows them)\n" scenario;
-        2
-    | sc -> (
-        match mutate with
-        | Some m when not (List.mem m S.mutations) ->
-            Printf.eprintf
-              "unknown mutation %S (hare_cli explore --list shows them)\n" m;
-            2
-        | _ ->
-            let strategy =
-              match replay with
-              | Some csv ->
-                  R.Replay
-                    (String.split_on_char ',' csv
-                    |> List.filter (fun s -> s <> "")
-                    |> List.map int_of_string)
-              | None -> (
-                  match strategy with
-                  | "dpor" -> R.Dpor
-                  | "pct" -> R.Pct seed
-                  | "rand" -> R.Rand seed
-                  | "det" -> R.Deterministic
-                  | s ->
-                      raise
-                        (Invalid_argument
-                           ("unknown strategy " ^ s
-                          ^ " (dpor, pct, rand, det)")))
-            in
-            let st = R.explore ~scenario:sc ?mutate ~strategy ~budget () in
-            Printf.printf
-              "%s strategy=%s%s: %d schedule(s), %d choice point(s), depth \
-               %d, %d sleep-set prune(s)%s\n"
-              sc.S.sc_name (R.strategy_name strategy)
-              (match mutate with Some m -> " mutate=" ^ m | None -> "")
-              st.R.schedules st.R.choice_points st.R.max_depth
-              st.R.sleep_blocked
-              (if st.R.complete then ", exhaustive" else "");
-            List.iter
-              (fun (v : R.violation) ->
-                Printf.printf "VIOLATION [%s]\n%s\n" v.R.v_kind v.R.v_detail;
-                Printf.printf "  reproduce: hare_cli explore %s%s --replay %s\n"
-                  sc.S.sc_name
-                  (match mutate with Some m -> " --mutate " ^ m | None -> "")
-                  (match v.R.v_choices with
-                  | [] -> "0"
-                  | cs -> String.concat "," (List.map string_of_int cs)))
-              st.R.violations;
-            if st.R.violations = [] then begin
-              print_endline "no violations";
-              0
-            end
-            else 1)
+        bad_args
+          (Printf.sprintf
+             "unknown scenario %S (hare_cli explore --list shows them)" scenario)
+    | _, Some m, _ when not (List.mem m S.mutations) ->
+        bad_args
+          (Printf.sprintf
+             "unknown mutation %S (hare_cli explore --list shows them)" m)
+    | _, _, Error msg -> bad_args msg
+    | sc, _, Ok strategy ->
+        let st = R.explore ~scenario:sc ?mutate ~strategy ~budget () in
+        Printf.printf
+          "%s strategy=%s%s: %d schedule(s), %d choice point(s), depth %d, \
+           %d sleep-set prune(s)%s\n"
+          sc.S.sc_name (R.strategy_name strategy)
+          (match mutate with Some m -> " mutate=" ^ m | None -> "")
+          st.R.schedules st.R.choice_points st.R.max_depth st.R.sleep_blocked
+          (if st.R.complete then ", exhaustive" else "");
+        List.iter
+          (fun (v : R.violation) ->
+            Printf.printf "VIOLATION [%s]\n%s\n" v.R.v_kind v.R.v_detail;
+            Printf.printf "  reproduce: hare_cli explore %s%s --replay %s\n"
+              sc.S.sc_name
+              (match mutate with Some m -> " --mutate " ^ m | None -> "")
+              (match v.R.v_choices with
+              | [] -> "0"
+              | cs -> String.concat "," (List.map string_of_int cs)))
+          st.R.violations;
+        if st.R.violations = [] then begin
+          print_endline "no violations";
+          0
+        end
+        else 1
 
 let explore_cmd =
   let scenario_arg =
@@ -1834,16 +1325,8 @@ let explore_cmd =
              $(b,pct) (seeded random priorities), $(b,rand) (seeded uniform), \
              $(b,det) (the engine's deterministic order; one run).")
   in
-  let seed_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"N" ~doc:"Seed for pct/rand strategies.")
-  in
   let budget_arg =
-    Arg.(
-      value & opt int 500
-      & info [ "budget" ] ~docv:"N"
-          ~doc:"Maximum executions before giving up.")
+    int_opt "budget" 500 "N" "Maximum executions before giving up."
   in
   let mutate_arg =
     Arg.(
@@ -1870,17 +1353,20 @@ let explore_cmd =
           a close-to-open linearizability oracle. Exit 0: clean; 1: \
           violation found (with a $(b,--replay) recipe); 2: bad arguments.")
     Term.(
-      const run_explore $ list_flag $ scenario_arg $ strategy_arg $ seed_arg
+      const run_explore $ list_flag $ scenario_arg $ strategy_arg
+      $ seed_arg ~docv:"N" ~doc:"Seed for pct/rand strategies." ()
       $ budget_arg $ mutate_arg $ replay_arg)
+
+(* ---------- list command ------------------------------------------------ *)
 
 let run_list () =
   List.iter
-    (fun (s : Hare_workloads.Spec.t) ->
-      Printf.printf "%-14s (%s placement%s)\n" s.Hare_workloads.Spec.name
-        (match s.Hare_workloads.Spec.exec_policy with
+    (fun (s : Spec.t) ->
+      Printf.printf "%-14s (%s placement%s)\n" s.Spec.name
+        (match s.Spec.exec_policy with
         | Config.Random_placement -> "random"
         | Config.Round_robin -> "round-robin")
-        (if s.Hare_workloads.Spec.uses_dist then ", distributed dirs" else ""))
+        (if s.Spec.uses_dist then ", distributed dirs" else ""))
     Hare_workloads.All.specs;
   0
 

@@ -74,6 +74,41 @@ let default_config ~ncores =
   }
 
 module Make (W : World.WORLD) = struct
+  (* The one run loop (§5): setup in init, then the workers spawned
+     through the system's own placement policy, then wait for them all.
+     Every caller — [run] below, hare_cli, the tests — goes through it. *)
+  let exec ~nprocs ?(scale = 1) ?(after_setup = ignore)
+      ?(after_workers = fun _ -> 0) w (spec : Spec.t) =
+    let api = W.api w in
+    List.iter
+      (fun (prog, body) -> api.Api.register_program prog body)
+      (spec.Spec.programs api);
+    api.Api.register_program "bench-worker" (fun p args ->
+        let idx = match args with a :: _ -> int_of_string a | [] -> 0 in
+        spec.Spec.worker api p ~idx ~nprocs ~scale;
+        0);
+    let init =
+      W.spawn_init w ~name:("bench-" ^ spec.Spec.name) (fun p ->
+          spec.Spec.setup api p ~nprocs ~scale;
+          after_setup p;
+          let workers =
+            match spec.Spec.mode with Spec.Workers -> nprocs | Spec.Make -> 1
+          in
+          let pids =
+            List.init workers (fun i ->
+                api.Api.spawn p ~prog:"bench-worker" ~args:[ string_of_int i ])
+          in
+          let failures =
+            List.fold_left
+              (fun acc pid ->
+                if api.Api.waitpid p pid <> 0 then acc + 1 else acc)
+              0 pids
+          in
+          if failures > 0 then failures else after_workers p)
+    in
+    W.run w;
+    W.exit_status w init
+
   let run ?config ?nprocs ?(scale = 1) ?(null_explorer = false)
       (spec : Spec.t) =
     let config =
@@ -100,19 +135,11 @@ module Make (W : World.WORLD) = struct
               ex_access = ignore;
             })
         (W.engine w);
-    let api = W.api w in
-    List.iter
-      (fun (prog, body) -> api.Api.register_program prog body)
-      (spec.Spec.programs api);
-    api.Api.register_program "bench-worker" (fun p args ->
-        let idx = match args with a :: _ -> int_of_string a | [] -> 0 in
-        spec.Spec.worker api p ~idx ~nprocs ~scale;
-        0);
     let t0 = ref 0.0 and t1 = ref 0.0 in
     let ops_before = ref (Hare_stats.Opcount.create ()) in
-    let init =
-      W.spawn_init w ~name:("bench-" ^ spec.Spec.name) (fun p ->
-          spec.Spec.setup api p ~nprocs ~scale;
+    let status =
+      exec ~nprocs ~scale w spec
+        ~after_setup:(fun _ ->
           ops_before := Hare_stats.Opcount.snapshot (W.syscalls w);
           (* The timed region reports only its own activity: perf
              counters and the cycle-attribution profile restart here;
@@ -121,26 +148,12 @@ module Make (W : World.WORLD) = struct
           (match W.trace w with
           | Some tr -> Hare_trace.Trace.reset_profile tr
           | None -> ());
-          t0 := W.seconds w;
-          let workers =
-            match spec.Spec.mode with Spec.Workers -> nprocs | Spec.Make -> 1
-          in
-          let pids =
-            List.init workers (fun i ->
-                api.Api.spawn p ~prog:"bench-worker"
-                  ~args:[ string_of_int i ])
-          in
-          let failures =
-            List.fold_left
-              (fun acc pid ->
-                if api.Api.waitpid p pid <> 0 then acc + 1 else acc)
-              0 pids
-          in
+          t0 := W.seconds w)
+        ~after_workers:(fun _ ->
           t1 := W.seconds w;
-          failures)
+          0)
     in
-    W.run w;
-    (match W.exit_status w init with
+    (match status with
     | Some 0 -> ()
     | Some n ->
         failwith

@@ -15,7 +15,7 @@ type result = {
   elapsed : float;  (** simulated seconds of the timed region. *)
   ops : int;
   throughput : float;  (** ops per simulated second. *)
-  syscalls : Hare_stats.Opcount.t;  (** whole-run op mix. *)
+  syscalls : Hare_stats.Opcount.t;  (** the timed region's op mix. *)
   profile : Hare_trace.Trace.row list;
       (** Per-opcode cycle attribution of the timed region (sorted by
           total cycles, descending). Empty unless the world was booted
@@ -65,6 +65,24 @@ val default_config : ncores:int -> Hare_config.Config.t
     everything else as {!Hare_config.Config.default}. *)
 
 module Make (W : World.WORLD) : sig
+  val exec :
+    nprocs:int ->
+    ?scale:int ->
+    ?after_setup:(W.proc -> unit) ->
+    ?after_workers:(W.proc -> int) ->
+    W.world ->
+    Hare_workloads.Spec.t ->
+    int option
+  (** [exec ~nprocs w spec] is the one run loop: on the already booted
+      world [w] it registers [spec]'s programs and the [bench-worker]
+      program, runs [spec]'s setup in a fresh init process and then
+      [after_setup] there, spawns [nprocs] workers ([1] for
+      {!Hare_workloads.Spec.Make}) and waits for them. When every worker
+      exited 0, init runs [after_workers] (default: return 0) and exits
+      with its result; otherwise init exits with the number of failed
+      workers. Returns init's exit status after [W.run] ([None] if init
+      never finished). Fiber exceptions propagate from [W.run]. *)
+
   val run :
     ?config:Hare_config.Config.t ->
     ?nprocs:int ->
@@ -72,7 +90,8 @@ module Make (W : World.WORLD) : sig
     ?null_explorer:bool ->
     Hare_workloads.Spec.t ->
     result
-  (** [run spec] executes the benchmark. [nprocs] defaults to the number
+  (** [run spec] boots a world and executes the benchmark through
+      {!exec}, timing from the end of setup. [nprocs] defaults to the number
       of application cores; the benchmark's exec-placement policy
       overrides the configuration's. [null_explorer] (default false)
       attaches an always-ordinal-0 schedule explorer to the engine: the

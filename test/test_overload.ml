@@ -7,8 +7,6 @@
 open Hare_sim
 module Config = Hare_config.Config
 module Machine = Hare.Machine
-module Posix = Hare.Posix
-module Api = Hare_api.Api
 module Robust = Hare_stats.Robust
 module Latency = Hare_stats.Latency
 module O = Hare_workloads.Overload
@@ -193,29 +191,7 @@ let run_overload_machine ?(nprocs = 24) ?(period = 30_000) config =
   O.reset ();
   O.period := period;
   let m = Machine.boot config in
-  let api = Hare_experiments.World.Hare_w.api m in
-  let spec = O.spec in
-  List.iter
-    (fun (prog, body) -> api.Api.register_program prog body)
-    (spec.Hare_workloads.Spec.programs api);
-  api.Api.register_program "bench-worker" (fun p args ->
-      let idx = match args with a :: _ -> int_of_string a | [] -> 0 in
-      spec.Hare_workloads.Spec.worker api p ~idx ~nprocs ~scale:1;
-      0);
-  let init, _ =
-    Machine.spawn_init m ~name:"overload-test" (fun p _ ->
-        spec.Hare_workloads.Spec.setup api p ~nprocs ~scale:1;
-        let pids =
-          List.init nprocs (fun i ->
-              Posix.spawn p ~prog:"bench-worker" ~args:[ string_of_int i ])
-        in
-        List.fold_left
-          (fun acc pid -> if Posix.waitpid p pid <> 0 then acc + 1 else acc)
-          0 pids)
-  in
-  Machine.run m;
-  Alcotest.(check (option int)) "workers all exited 0" (Some 0)
-    (Machine.exit_status m init);
+  Test_util.exec ~what:"workers all exited 0" ~nprocs m O.spec;
   m
 
 let overload_config () =

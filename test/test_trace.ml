@@ -5,51 +5,9 @@
    cycles, with nothing left over. *)
 
 open Test_util
-module Api = Hare_api.Api
-module World = Hare_experiments.World
-module Spec = Hare_workloads.Spec
 module Trace = Hare_trace.Trace
 module Perf = Hare_stats.Perf
-module Opcount = Hare_stats.Opcount
 module Engine = Hare_sim.Engine
-
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec scan i =
-    i + nl <= hl && (String.sub hay i nl = needle || scan (i + 1))
-  in
-  scan 0
-
-(* Boot a machine from [config], run one paper workload to completion
-   (setup + workers), and return the machine for inspection. *)
-let run_workload ?(wname = "creates") config =
-  let m = Machine.boot config in
-  let api = World.Hare_w.api m in
-  let spec = Hare_workloads.All.find wname in
-  let nprocs = List.length (Config.app_cores config) in
-  List.iter
-    (fun (prog, body) -> api.Api.register_program prog body)
-    (spec.Spec.programs api);
-  api.Api.register_program "bench-worker" (fun p args ->
-      let idx = int_of_string (List.hd args) in
-      spec.Spec.worker api p ~idx ~nprocs ~scale:1;
-      0);
-  let init, _ =
-    Machine.spawn_init m ~name:"trace-test" (fun p _ ->
-        spec.Spec.setup api p ~nprocs ~scale:1;
-        let pids =
-          List.init nprocs (fun i ->
-              Posix.spawn p ~prog:"bench-worker" ~args:[ string_of_int i ])
-        in
-        List.fold_left
-          (fun acc pid -> if Posix.waitpid p pid <> 0 then acc + 1 else acc)
-          0 pids)
-  in
-  (match Machine.run m with
-  | () -> ()
-  | exception Hare_sim.Engine.Fiber_failure (_, e) -> raise e);
-  Alcotest.(check (option int)) "workers ok" (Some 0) (Machine.exit_status m init);
-  m
 
 let traced_config ?(cap = 65536) ?(enabled = true) ?(window = 1) ?plan () =
   let c =
@@ -65,23 +23,6 @@ let traced_config ?(cap = 65536) ?(enabled = true) ?(window = 1) ?plan () =
   | None -> c
   | Some p ->
       { c with Config.fault_plan = p; rpc_deadline = 25_000; rpc_retries = 12 }
-
-(* Everything externally observable about a run, for tracing-is-inert
-   comparisons. *)
-let fingerprint m =
-  ( Machine.now m,
-    Opcount.to_list (Machine.total_syscalls m),
-    Opcount.to_list (Machine.total_server_ops m),
-    Machine.total_rpcs m,
-    Machine.total_invals m )
-
-let fp :
-    (int64 * (string * int) list * (string * int) list * int * int)
-    Alcotest.testable =
-  Alcotest.testable
-    (fun ppf (now, _, _, rpcs, invals) ->
-      Format.fprintf ppf "now=%Ld rpcs=%d invals=%d" now rpcs invals)
-    ( = )
 
 (* ---------- zero perturbation ------------------------------------------- *)
 
@@ -155,19 +96,6 @@ let test_ring_overflow () =
 (* The CLI verdicts on the same overflow: [profile] reads nothing from
    the ring, so a tiny ring must neither warn nor fail it; the [trace]
    export does lose events, and --strict must still refuse it. *)
-let hare_cli args =
-  let exe =
-    Filename.concat (Filename.dirname Sys.executable_name) "../bin/hare_cli.exe"
-  in
-  if not (Sys.file_exists exe) then Alcotest.failf "%s not built" exe;
-  let out = Filename.temp_file "hare_cli" ".out"
-  and err = Filename.temp_file "hare_cli" ".err" in
-  let rc = Sys.command (Filename.quote_command exe ~stdout:out ~stderr:err args) in
-  let read f = In_channel.with_open_bin f In_channel.input_all in
-  let o = read out and e = read err in
-  Sys.remove out;
-  Sys.remove err;
-  (rc, o, e)
 
 let test_cli_drop_verdicts () =
   let rc, out, err =

@@ -155,6 +155,44 @@ let golden_with_null_explorer () =
   in
   Alcotest.(check int64) "creates @4 cores under a null explorer" expect cycles
 
+(* The benchmark path ([run]: boot inside the driver) and the path
+   hare_cli and the tests take (boot, then [exec]) share one run loop;
+   on the same configuration they must end at the same cycle with the
+   same whole-run op mix. [Recorded] keeps the machine [run] boots. *)
+module Recorded = struct
+  include World.Hare_w
+
+  let last = ref None
+
+  let boot c =
+    let m = boot c in
+    last := Some m;
+    m
+end
+
+module RecordedD = Driver.Make (Recorded)
+
+let run_and_exec_agree () =
+  let spec = Hare_workloads.All.find "creates" in
+  let config =
+    {
+      (Driver.default_config ~ncores:4) with
+      Hare_config.Config.exec_policy = spec.Spec.exec_policy;
+    }
+  in
+  ignore (RecordedD.run ~config spec);
+  let via_run = Option.get !Recorded.last in
+  let via_exec = Hare.Machine.boot config in
+  let nprocs = List.length (Hare_config.Config.app_cores config) in
+  Alcotest.(check (option int)) "exec: workers ok" (Some 0)
+    (HareD.exec ~nprocs via_exec spec);
+  Alcotest.(check int64) "same final clock" (Hare.Machine.now via_run)
+    (Hare.Machine.now via_exec);
+  Alcotest.(check (list (pair string int)))
+    "same whole-run op mix"
+    (Hare_stats.Opcount.to_list (Hare.Machine.total_syscalls via_run))
+    (Hare_stats.Opcount.to_list (Hare.Machine.total_syscalls via_exec))
+
 let tc = Alcotest.test_case
 
 let suites : (string * unit Alcotest.test_case list) list =
@@ -174,5 +212,6 @@ let suites : (string * unit Alcotest.test_case list) list =
         tc "all techniques off" `Quick dist_off_still_correct;
         tc "golden simulated clocks" `Quick golden_determinism;
         tc "golden clock under null explorer" `Quick golden_with_null_explorer;
+        tc "run and exec agree" `Quick run_and_exec_agree;
       ] );
   ]
